@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import CompiledSchedule, run_sort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import CompiledSchedule, run_until_sorted
 from repro.core.reference import ReferenceMachine
 from repro.randomness import random_permutation_grid
 
@@ -93,12 +93,12 @@ def bench_ablation_numpy_engine_same_size(benchmark):
 
 
 def bench_ablation_check_every_step(benchmark):
-    """run_until_sorted with the step-exact completion check (the default,
+    """run_sort with the step-exact completion check (the default,
     needed for the paper's step-exact t_f)."""
     grid = random_permutation_grid(16, batch=16, rng=1)
 
     def run():
-        return run_until_sorted(get_algorithm("snake_1"), grid)
+        return run_sort("vectorized", get_algorithm("snake_1"), grid)
 
     benchmark(run)
 
@@ -128,9 +128,8 @@ def bench_ablation_check_every_cycle(benchmark):
 
 def bench_rect_engine(benchmark):
     """Rectangular executor on a 16x64 mesh (same N as 32x32)."""
-    from repro.rect.engine import RectCompiledSchedule
     rows, cols = 16, 64
-    compiled = RectCompiledSchedule(get_algorithm("snake_1"), rows, cols)
+    compiled = CompiledSchedule(get_algorithm("snake_1"), rows, cols)
     rng = np.random.default_rng(0)
     grid = rng.permutation(rows * cols).reshape(rows, cols)
 

@@ -10,7 +10,7 @@ values stacked in column 1):
    far above their ~N average;
 2. without the wrap-around wires the input can *never* be sorted
    (Section 1's motivation for the extra wires);
-3. the processor-level mesh machine agrees with the vectorized engine and
+3. the processor-level mesh machine agrees with the vectorized backend and
    shows how much traffic the wrap wires carry.
 """
 
@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.baselines import row_major_no_wrap, smallest_column_adversary
+from repro.backends import run_sort
+from repro.backends.mesh import MeshBackend
 from repro.core import get_algorithm, sort_grid
-from repro.mesh import mesh_sort
+from repro.schedules import smallest_column_adversary
 from repro.theory.bounds import corollary1_worst_case_lower
 from repro.viz import render_zero_one
 from repro.zeroone import threshold_matrix
@@ -45,17 +46,19 @@ def main() -> None:
               f"(Corollary 1 bound: {bound}, average is ~{n_cells})")
 
     cap = 8 * n_cells
-    report = sort_grid(row_major_no_wrap(), adversary, max_steps=cap)
+    report = sort_grid("row_major_no_wrap", adversary, max_steps=cap)
     print(f"\nwithout wrap-around wires: sorted after {cap} steps? "
           f"{'yes' if report.outcome.all_completed else 'NO — the column is trapped'}")
 
-    t_f, machine = mesh_sort(get_algorithm("row_major_row_first"), adversary,
-                             max_steps=8 * n_cells)
+    backend = MeshBackend()
+    t_f = run_sort(backend, get_algorithm("row_major_row_first"), adversary,
+                   max_steps=8 * n_cells, raise_on_cap=True).steps_scalar()
+    machine = backend.last_machine
     wrap_traffic = sum(
         count for (a, b), count in machine.stats.comparisons.items()
         if abs(a[1] - b[1]) > 1
     )
-    print(f"\nprocessor-level machine: t_f = {t_f} (matches the engine), "
+    print(f"\nprocessor-level machine: t_f = {t_f} (matches the vectorized backend), "
           f"{machine.stats.total_comparisons()} comparator firings, "
           f"{wrap_traffic} on the wrap wires")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.baselines import shearsort
 from repro.core import ALGORITHM_NAMES
 from repro.experiments import sample
 from repro.viz import ascii_series
@@ -32,8 +31,8 @@ def main() -> None:
     print(f"{'algorithm':22s} " + " ".join(f"side={s:<4d}" for s in sides))
     for name in contenders:
         for side in sides:
-            algorithm = shearsort(side) if name == "shearsort" else name
-            result = sample(algorithm, side=side, trials=args.trials,
+            # "shearsort" is a sided registry family: side= picks the instance.
+            result = sample(name, side=side, trials=args.trials,
                             seed=(2026, side), workers=args.workers)
             means[name].append(result.stats.mean)
         print(f"{name:22s} " + " ".join(f"{m:8.1f}" for m in means[name]))

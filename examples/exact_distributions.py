@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from repro.backends import run_steps
 from repro.core import get_algorithm
-from repro.core.engine import run_fixed_steps
 from repro.randomness import random_zero_one_grid
 from repro.theory.chebyshev import theorem8_tail_bound
 from repro.theory.distributions import (
@@ -42,7 +42,7 @@ def main() -> None:
 
     # Monte-Carlo histogram for comparison
     grids = random_zero_one_grid(side, batch=20000, rng=1)
-    after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+    after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
     values = np.asarray(z1_statistic(after))
     hist = np.bincount(values, minlength=len(pmf)) / len(values)
 

@@ -20,12 +20,12 @@ import sys
 
 import numpy as np
 
-from repro.baselines import smallest_column_adversary
+from repro.backends import step_cap
 from repro.core import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import default_step_cap
 from repro.core.faults import faulty_run_until_sorted
 from repro.core.orders import target_grid
 from repro.randomness import random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 
 def main() -> None:
@@ -66,7 +66,7 @@ def main() -> None:
         grid = random_permutation_grid(side, rng=rng)
         out = faulty_run_until_sorted(
             get_algorithm("row_major_row_first"), grid,
-            max_steps=default_step_cap(side), dead_pairs=dead_one,
+            max_steps=step_cap(side), dead_pairs=dead_one,
         )
         if not out.all_completed:
             stuck += 1

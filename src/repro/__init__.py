@@ -8,10 +8,16 @@ This package implements, end to end, the system studied in
 Subpackages
 -----------
 ``repro.core``
-    The five mesh bubble-sort algorithms, their comparator-schedule IR, and
-    vectorized/reference executors.
+    The five mesh bubble-sort algorithms, their comparator-schedule IR,
+    target orders, and the pure-Python reference machine.
+``repro.schedules``
+    The schedule-family registry: the five algorithms, shearsort, the
+    wire-less counterexample, linear odd-even and random networks.
+``repro.backends``
+    One driver and compile cache over the vectorized, reference, mesh and
+    rect executors.
 ``repro.linear``
-    The 1-D odd-even transposition sort substrate (forward and reverse).
+    The 1-D odd-even transposition step and its Section 1 bounds.
 ``repro.mesh``
     Processor-level mesh-of-processors simulator with wrap-around wires.
 ``repro.zeroone``
@@ -19,8 +25,6 @@ Subpackages
     Z/Y potential trackers, and programmatic lemma checks.
 ``repro.theory``
     Exact (Fraction-valued) moments, variances, and per-theorem bounds.
-``repro.baselines``
-    Shearsort and other comparison points on the same machine model.
 ``repro.experiments``
     Seeded Monte-Carlo harness reproducing every theorem of the paper.
 ``repro.viz``

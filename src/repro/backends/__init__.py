@@ -3,10 +3,9 @@
 One driver (:mod:`repro.backends.driver`) runs any registered backend —
 ``"vectorized"``, ``"reference"``, ``"mesh"``, ``"rect"`` — over one
 schedule compiler with an LRU compilation cache, producing one
-:class:`SortOutcome` type.  The historical per-executor entry points in
-:mod:`repro.core.engine`, :mod:`repro.core.reference`,
-:mod:`repro.mesh.machine`, and :mod:`repro.rect.engine` are thin shims over
-this layer.
+:class:`SortOutcome` type.  It is the only way to run a schedule:
+:func:`run_sort` (to completion), :func:`run_steps` (a fixed number of
+steps) and :func:`iter_run` (step by step).
 """
 
 from repro.backends.base import (

@@ -48,8 +48,8 @@ def step_cap(rows: int, cols: int | None = None) -> int:
     The paper proves worst cases of Theta(N) with small constants (the
     row-major worst case is at least ``2N - 4*sqrt(N)`` and at most
     ``O(N)``); ``8*N + 8*(rows + cols) + 64`` leaves ample slack while still
-    bounding runaway runs on buggy schedules.  On a square mesh this equals
-    the historical ``default_step_cap``: ``8*N + 16*side + 64``.
+    bounding runaway runs on buggy schedules.  On a square mesh this is
+    ``8*N + 16*side + 64``.
     """
     if cols is None:
         cols = rows

@@ -1,10 +1,8 @@
 """One strided-slice kernel compiler for square and rectangular meshes.
 
-Historically the package carried two near-identical compilers: the square
-one in ``repro.core.engine`` and the rectangular one in
-``repro.rect.engine``.  This module collapses them: every op is compiled
-against a ``rows x cols`` mesh, and the square case is simply
-``rows == cols`` (with the square-specific side validation preserved).
+Every op is compiled against a ``rows x cols`` mesh, and the square case is
+simply ``rows == cols`` (with the square-specific side validation
+preserved).
 
 Because the Monte-Carlo samplers call the same ``(algorithm, side)`` pair
 hundreds of times, compilation is memoized in a small LRU cache keyed by

@@ -58,8 +58,8 @@ class MeshRun(ExecutorRun):
 class MeshBackend(Backend):
     """The explicit-wire, processor-per-cell executor.
 
-    A private instance can carry a fixed :class:`MeshTopology` (as
-    ``mesh_sort`` does); the registry's shared instance builds a topology
+    A private instance can carry a fixed :class:`MeshTopology` (e.g. one
+    without wrap-around wires); the registry's shared instance builds a topology
     matching each schedule.  ``last_machine`` keeps the machine of the most
     recent ``prepare`` so callers can read per-wire statistics afterwards.
     """

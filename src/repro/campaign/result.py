@@ -1,8 +1,8 @@
 """The one result type of the unified sampling API.
 
-Every sampling entry point — the :func:`repro.experiments.sample` facade,
-:func:`repro.campaign.run_campaign`, and (via their shims) the historical
-samplers — produces a :class:`SampleResult`: the raw per-trial values, a
+Both sampling entry points — the :func:`repro.experiments.sample` facade
+and :func:`repro.campaign.run_campaign` — produce a :class:`SampleResult`:
+the raw per-trial values, a
 :class:`~repro.experiments.montecarlo.TrialStats` summary, and enough
 manifest metadata to replay or audit the run.
 """

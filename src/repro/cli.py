@@ -2,10 +2,8 @@
 
 ``repro <subcommand> [args...]`` dispatches to the module-level entry
 points, so ``repro verify --smoke`` is exactly ``python -m repro.verify
---smoke`` and ``repro run E-T2`` runs the experiments CLI (``repro
-experiments`` / ``repro exp`` remain as legacy aliases; ``python -m
-repro.experiments`` still works as a deprecation shim).  ``repro jobs``
-and ``repro serve`` front the campaign job service (see docs/SERVICE.md).
+--smoke`` and ``repro run E-T2`` runs the experiments CLI
+(:mod:`repro.experiments.cli`).  ``repro jobs`` and ``repro serve`` front the campaign job service (see docs/SERVICE.md).
 Installed via ``[project.scripts]`` in ``pyproject.toml``; in a source
 checkout the ``python -m`` forms work without installation.
 
@@ -65,8 +63,6 @@ def _run_serve(argv: list[str]) -> int:
 
 _SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "run": (_run_run, "run paper experiments or one direct sample"),
-    "experiments": (_run_run, "legacy alias for 'run'"),
-    "exp": (_run_run, "legacy alias for 'run'"),
     "jobs": (_run_jobs, "submit and inspect durable campaign jobs"),
     "serve": (_run_serve, "drain pending jobs through the campaign service"),
     "verify": (_run_verify, "differential + metamorphic backend verification"),

@@ -12,7 +12,7 @@ Two failure models, both executed by a vectorized engine variant:
   structurally: the smallest-column adversary can then never be sorted.
 
 The healthy path (``failure_rate=0`` and no dead pairs) is verified to be
-step-identical to :mod:`repro.core.engine`.
+step-identical to the ``"vectorized"`` backend.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.backends import SortOutcome
 from repro.core.algorithms import check_side
-from repro.core.engine import SortOutcome
 from repro.core.orders import target_grid, validate_grid
 from repro.core.schedule import (
     FORWARD,
@@ -169,7 +169,8 @@ def faulty_run_until_sorted(
     rng: SeedLike = None,
     raise_on_cap: bool = False,
 ) -> SortOutcome:
-    """Run to completion under the fault model (mirrors ``run_until_sorted``)."""
+    """Run to completion under the fault model (mirrors
+    :func:`repro.backends.run_sort`)."""
     work = np.array(grid, copy=True)
     side = validate_grid(work)
     compiled = FaultyCompiledSchedule(

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import Backend, get_backend, run_sort
-from repro.core.engine import SortOutcome, iter_steps, run_fixed_steps
+from repro.backends import Backend, SortOutcome, get_backend, iter_run, run_sort, run_steps
 from repro.core.schedule import Schedule
 from repro.errors import DimensionError
 from repro.obs.events import Observer
@@ -159,12 +158,15 @@ def sort_steps(
 ) -> np.ndarray:
     """Grid state after exactly ``num_steps`` steps (vectorized engine)."""
     side = int(np.asarray(grid).shape[-1])
-    return run_fixed_steps(_resolve(algorithm, side), grid, num_steps, start_t=start_t)
+    return run_steps(
+        "vectorized", _resolve(algorithm, side), grid, num_steps, start_t=start_t
+    )
 
 
 def trace(algorithm: str | Schedule, grid: np.ndarray, num_steps: int):
     """Iterate ``(t, snapshot)`` over the first ``num_steps`` steps."""
-    return iter_steps(_resolve(algorithm, int(np.asarray(grid).shape[-1])), grid, num_steps)
+    schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
+    return iter_run("vectorized", schedule, grid, num_steps)
 
 
 def describe_algorithm(algorithm: str | Schedule) -> str:

@@ -20,8 +20,8 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   disjoint cells; :func:`validate_schedule` checks this for a concrete side);
 * :class:`Schedule` — a named sequence of steps, executed cyclically.
 
-Engines (:mod:`repro.core.engine`, :mod:`repro.core.reference`,
-:mod:`repro.mesh.machine`) consume this IR, which guarantees all executors
+Executors (the :mod:`repro.backends` kernels, :mod:`repro.core.reference`,
+:mod:`repro.mesh.machine`) consume this IR, which guarantees all of them
 implement byte-identical semantics.
 """
 

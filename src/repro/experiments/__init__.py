@@ -1,16 +1,14 @@
 """Experiment harness: Monte-Carlo runners and the per-theorem registry.
 
 :func:`sample` is the unified sampling facade (in-process or sharded
-campaign mode); ``sample_sort_steps`` / ``sample_statistic_after_steps``
-remain importable as deprecated shims.
+campaign mode); ``repro run`` (:mod:`repro.experiments.cli`) runs the
+registry's experiments.
 """
 
 from repro.campaign.result import SampleResult
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import (
     TrialStats,
-    sample_sort_steps,
-    sample_statistic_after_steps,
     summarize,
 )
 from repro.experiments.registry import (
@@ -27,8 +25,6 @@ __all__ = [
     "TrialStats",
     "SampleResult",
     "sample",
-    "sample_sort_steps",
-    "sample_statistic_after_steps",
     "summarize",
     "EXPERIMENTS",
     "ExperimentSpec",

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.no_wrap import smallest_column_adversary
 from repro.core.runner import sort_grid
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
+from repro.schedules import smallest_column_adversary
 from repro.theory.bounds import corollary1_worst_case_lower
 from repro.zeroone.threshold import threshold_matrix
 from repro.zeroone.weights import column_zeros

@@ -1,7 +1,7 @@
 """``repro run``: paper experiments and direct samples from one command.
 
-The successor to ``python -m repro.experiments`` (still available as a
-deprecation shim) with the same flags, plus:
+Runs the registry's experiments (``--list``, ids, ``--all``,
+``--summary``) and also offers:
 
 * ``--store DIR`` — thread a content-addressed result store through the
   Monte-Carlo sweeps, so repeated runs become cache lookups;
@@ -25,6 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.campaign.execution import ExecutionOptions
 from repro.errors import DimensionError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
@@ -79,8 +80,6 @@ def _run_direct_sample(args: argparse.Namespace) -> int:
             "error: --algorithm requires --side and --trials", file=sys.stderr
         )
         return 2
-    from repro.campaign.execution import ExecutionOptions
-
     try:
         # Built directly (not via ExperimentConfig) so backend=None keeps
         # the schedule registry's topology-matched default — linear
@@ -258,19 +257,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {out}")
 
     def build_config() -> ExperimentConfig:
-        from dataclasses import replace
-
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             scale=args.scale,
             seed=args.seed,
-            backend=args.backend or "vectorized",
-            workers=args.workers,
-            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-            resume=args.resume,
+            execution=ExecutionOptions(
+                backend=args.backend or "vectorized",
+                workers=args.workers,
+                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+                resume=args.resume,
+                store=args.store or None,
+            ),
         )
-        if args.store:
-            cfg.execution = replace(cfg.execution, store=args.store)
-        return cfg
 
     if args.summary:
         try:

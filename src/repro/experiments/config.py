@@ -7,7 +7,6 @@ numbers recorded in EXPERIMENTS.md).  All randomness derives from ``seed``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.campaign.execution import ExecutionOptions
@@ -21,74 +20,31 @@ class ExperimentConfig:
     """Knobs shared by every experiment.
 
     Execution is carried by one frozen
-    :class:`~repro.campaign.execution.ExecutionOptions` (``execution``);
-    the loose ``backend``/``workers``/``checkpoint_dir``/``resume`` fields
-    remain as a legacy mirror — construct with either, and the other side
-    is synchronized in ``__post_init__``.  ``backend`` selects the
-    execution backend for the Monte-Carlo samplers (any name from
-    :func:`repro.backends.available_backends`).  The single-grid backends
-    are orders of magnitude slower than the vectorized default; they exist
-    here for end-to-end cross-validation runs.
+    :class:`~repro.campaign.execution.ExecutionOptions` (``execution``),
+    passed unchanged to :func:`repro.experiments.sample`.  Its ``backend``
+    selects the execution backend for the Monte-Carlo samplers (any name
+    from :func:`repro.backends.available_backends`).  The single-grid
+    backends are orders of magnitude slower than the vectorized default;
+    they exist here for end-to-end cross-validation runs.
     """
 
     scale: str = "quick"
     seed: int = 20260706
-    backend: str = "vectorized"
-    workers: int = 1
-    checkpoint_dir: str | None = None
-    resume: bool = False
-    execution: ExecutionOptions | None = field(default=None)
+    execution: ExecutionOptions = field(
+        default_factory=lambda: ExecutionOptions(backend="vectorized")
+    )
 
     def __post_init__(self) -> None:
         if self.scale not in ("quick", "full"):
             raise DimensionError(f"scale must be 'quick' or 'full', got {self.scale!r}")
-        if self.execution is None:
-            # Legacy construction path: lift the loose knobs into the
-            # frozen options object (which owns their validation).
-            self.execution = ExecutionOptions(
-                backend=self.backend,
-                workers=self.workers,
-                checkpoint_dir=self.checkpoint_dir,
-                resume=self.resume,
-            )
-        else:
-            # Options-first construction: keep the legacy mirror fields
-            # consistent for code that still reads them.
-            if self.execution.backend is not None:
-                self.backend = self.execution.backend
-            self.workers = self.execution.workers
-            self.checkpoint_dir = (
-                None
-                if self.execution.checkpoint_dir is None
-                else str(self.execution.checkpoint_dir)
-            )
-            self.resume = self.execution.resume
         from repro.backends import available_backends
 
-        if self.backend not in available_backends():
+        backend = self.execution.backend
+        if backend is not None and backend not in available_backends():
             raise DimensionError(
-                f"unknown backend {self.backend!r}; "
+                f"unknown backend {backend!r}; "
                 f"available: {', '.join(available_backends())}"
             )
-
-    @property
-    def sampler_kwargs(self) -> dict:
-        """Deprecated: pass ``execution=cfg.execution`` to :func:`sample`.
-
-        Historically this returned loose ``backend``/``workers``/
-        ``checkpoint_dir`` keywords to splat into the facade; the frozen
-        :class:`~repro.campaign.execution.ExecutionOptions` object carries
-        the same information without the drift-prone splat.  The returned
-        mapping is now ``{"execution": ...}`` so existing ``**`` call
-        sites keep working unchanged during the deprecation window.
-        """
-        warnings.warn(
-            "ExperimentConfig.sampler_kwargs is deprecated; pass "
-            "execution=cfg.execution to sample() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {"execution": self.execution}
 
     @property
     def even_sides(self) -> list[int]:

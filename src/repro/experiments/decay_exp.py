@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends.compile import CompiledSchedule
 from repro.core.algorithms import ALGORITHM_NAMES
-from repro.core.engine import CompiledSchedule
 from repro.core.orders import target_grid
 from repro.core.runner import resolve_algorithm
 from repro.experiments.config import ExperimentConfig

@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.no_wrap import smallest_column_adversary
+from repro.backends import run_sort, step_cap
+from repro.backends.mesh import MeshBackend
 from repro.core.algorithms import ALGORITHM_NAMES, ROW_MAJOR_NAMES, get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.core.orders import target_grid
 from repro.core.runner import resolve_algorithm, sort_grid
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sampling import sample
 from repro.experiments.tables import Table
-from repro.mesh.machine import mesh_sort
 from repro.randomness import as_generator, random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 __all__ = [
     "exp_constants",
@@ -117,9 +117,11 @@ def exp_traffic(cfg: ExperimentConfig) -> Table:
     side = cfg.even_sides[0]
     for name in ALGORITHM_NAMES:
         grid = random_permutation_grid(side, rng=rng)
-        t_f, machine = mesh_sort(
-            get_algorithm(name), grid, max_steps=default_step_cap(side)
-        )
+        backend = MeshBackend()
+        t_f = run_sort(
+            backend, get_algorithm(name), grid, max_steps=step_cap(side), raise_on_cap=True
+        ).steps_scalar()
+        machine = backend.last_machine
         comparisons = machine.stats.total_comparisons()
         swaps = machine.stats.total_swaps()
         wrap = sum(
@@ -200,14 +202,14 @@ def exp_worst_search(cfg: ExperimentConfig) -> Table:
             steps = sort_grid(name, grid, raise_on_cap=True).steps_scalar()
             if steps > best_steps:
                 best_steps, best_label = steps, label
-        random_steps = run_until_sorted(
-            schedule, random_permutation_grid(side, batch=probes, rng=rng)
+        random_steps = run_sort(
+            "vectorized", schedule, random_permutation_grid(side, batch=probes, rng=rng)
         ).steps
         if int(random_steps.max()) > best_steps:
             best_steps, best_label = int(random_steps.max()), "random probe"
         cor1 = 2 * n_cells - 4 * side if name in ROW_MAJOR_NAMES else "-"
         table.add_row(
             name, side, best_steps, best_label, cor1,
-            best_steps / n_cells, best_steps <= default_step_cap(side),
+            best_steps / n_cells, best_steps <= step_cap(side),
         )
     return table

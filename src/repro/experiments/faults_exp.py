@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.no_wrap import smallest_column_adversary
+from repro.backends import step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import default_step_cap
 from repro.core.faults import faulty_run_until_sorted
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 __all__ = ["exp_faults"]
 
@@ -42,7 +42,7 @@ def exp_faults(cfg: ExperimentConfig) -> Table:
         grids = random_permutation_grid(side, batch=trials, rng=rng)
         base_mean = None
         for rate in rates:
-            cap = int(default_step_cap(side) / max(1.0 - rate, 0.1)) * 2
+            cap = int(step_cap(side) / max(1.0 - rate, 0.1)) * 2
             out = faulty_run_until_sorted(
                 schedule, grids, max_steps=cap, failure_rate=rate,
                 rng=rng, raise_on_cap=False,

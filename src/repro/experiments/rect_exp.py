@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import run_sort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
 from repro.experiments.tables import Table
-from repro.rect import rect_run_until_sorted
 from repro.randomness import as_generator
 
 __all__ = ["exp_rectangles"]
@@ -52,7 +52,7 @@ def exp_rectangles(cfg: ExperimentConfig) -> Table:
             grids = np.stack(
                 [rng.permutation(n_cells).reshape(rows, cols) for _ in range(trials)]
             )
-            out = rect_run_until_sorted(schedule, grids, raise_on_cap=True)
+            out = run_sort("rect", schedule, grids, raise_on_cap=True)
             stats = summarize(out.steps)
             table.add_row(
                 name, f"{rows}x{cols}", n_cells, trials, stats.mean,

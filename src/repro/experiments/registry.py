@@ -2,8 +2,8 @@
 
 Experiment ids match the per-experiment index in DESIGN.md; each entry maps
 to a callable ``(ExperimentConfig) -> Table``.  The benchmark harness runs
-one experiment per bench target, and ``python -m repro.experiments`` exposes
-them on the command line.
+one experiment per bench target, and ``repro run`` exposes them
+on the command line.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Markdown summary report generation (``python -m repro.experiments --summary``).
+"""Markdown summary report generation (``repro run --summary``).
 
 Regenerates an EXPERIMENTS.md-style artifact from fresh runs: one section
 per experiment with the full result table fenced as code, prefixed by the
@@ -19,7 +19,7 @@ __all__ = ["write_summary"]
 
 _HEADER = """# Experiment summary — Savari (SPAA 1993) reproduction
 
-Generated by `python -m repro.experiments --summary` with repro v{version},
+Generated by `repro run --summary` with repro v{version},
 scale=`{scale}`, seed={seed}.  Each section reproduces the paper artifact
 named in its title; DESIGN.md maps experiment ids to theorems, and
 EXPERIMENTS.md interprets the full-scale numbers.

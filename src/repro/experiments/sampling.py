@@ -1,11 +1,10 @@
 """The unified sampling facade: one keyword-only entry point for all draws.
 
-:func:`sample` subsumes the historical ``sample_sort_steps`` /
-``sample_statistic_after_steps`` pair (both still importable, both now
-``DeprecationWarning`` shims) and fronts the :mod:`repro.campaign` engine:
+:func:`sample` draws step counts or statistics over random inputs and
+fronts the :mod:`repro.campaign` engine:
 
 * ``workers=1`` with no sharding knobs runs **in-process**, drawing the
-  exact same stream as the historical samplers — existing seeds keep
+  stream of :mod:`repro.experiments.montecarlo` — existing seeds keep
   producing bit-identical values;
 * any of ``workers != 1``, ``shard_size=...``, ``checkpoint_dir=...`` or
   ``store=...`` switches to **campaign mode**: the trial budget is cut into
@@ -193,8 +192,7 @@ def sample(
             store=store,
         )
 
-    # In-process path: the historical single-stream draw, bit-identical to
-    # the deprecated sample_* functions for the same arguments.
+    # In-process path: the historical single-stream draw.
     watch = StopWatch().start()
     if kind == "sort_steps":
         values = _sort_steps_values(

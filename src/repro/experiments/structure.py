@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import default_step_cap, iter_steps, run_until_sorted
+from repro.backends import iter_run, run_sort, step_cap
 from repro.core.runner import resolve_algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
@@ -64,8 +64,8 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         for _ in range(cfg.invariant_trials):
             grid = random_zero_one_grid(side, rng=rng)
             prev = np.asarray(grid)
-            for t, snap in iter_steps(
-                resolve_algorithm("row_major_row_first"), grid, 4 * cycles
+            for t, snap in iter_run(
+                "vectorized", resolve_algorithm("row_major_row_first"), grid, 4 * cycles
             ):
                 phase = (t - 1) % 4 + 1
                 checker = _ROW_FIRST_CHECKERS[phase]
@@ -85,9 +85,13 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         steps = 4 * cycles
         for _ in range(cfg.invariant_trials):
             grid = random_zero_one_grid(side, rng=rng)
-            trace1 = [s for _, s in iter_steps(resolve_algorithm("snake_1"), grid, steps)]
+            trace1 = [
+                s for _, s in iter_run("vectorized", resolve_algorithm("snake_1"), grid, steps)
+            ]
             z_viol += len(check_lemmas_5_to_8(trace1))
-            trace2 = [s for _, s in iter_steps(resolve_algorithm("snake_2"), grid, steps)]
+            trace2 = [
+                s for _, s in iter_run("vectorized", resolve_algorithm("snake_2"), grid, steps)
+            ]
             y_viol += len(check_lemma10(trace2))
         table.add_row("Lemmas 5-8 (Z chain)", "snake_1", side,
                       cfg.invariant_trials, steps, z_viol)
@@ -130,14 +134,14 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
         for side in cfg.even_sides:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
-            outcome = run_until_sorted(
-                schedule, grids, max_steps=default_step_cap(side), raise_on_cap=True
+            outcome = run_sort(
+                "vectorized", schedule, grids, max_steps=step_cap(side), raise_on_cap=True
             )
             slacks = []
             viol = 0
             for i in range(trials):
                 work = zero_one[i].copy()
-                for t, snap in iter_steps(schedule, work, measure_step):
+                for t, snap in iter_run("vectorized", schedule, work, measure_step):
                     pass
                 bound = bound_fn(snap, side)
                 realized = int(outcome.steps[i])
@@ -172,7 +176,7 @@ def exp_min_home(cfg: ExperimentConfig) -> Table:
             for _ in range(trials):
                 grid = random_permutation_grid(side, rng=rng)
                 t = steps_until_min_home(
-                    algorithm, grid, max_steps=default_step_cap(side)
+                    algorithm, grid, max_steps=step_cap(side)
                 )
                 times.append(t)
             stats = summarize(np.array(times))

@@ -6,22 +6,13 @@ from repro.linear.analysis import (
     expected_min_displacement,
     worst_case_upper,
 )
-from repro.linear.odd_even import (
-    LinearSortOutcome,
-    odd_even_sort_steps,
-    sort_linear,
-    transposition_step,
-    worst_case_input,
-)
+from repro.linear.odd_even import transposition_step, worst_case_input
 
 __all__ = [
     "average_lower_order",
     "average_lower_smallest_element",
     "expected_min_displacement",
     "worst_case_upper",
-    "LinearSortOutcome",
-    "odd_even_sort_steps",
-    "sort_linear",
     "transposition_step",
     "worst_case_input",
 ]

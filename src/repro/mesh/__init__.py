@@ -1,6 +1,6 @@
 """Processor-level mesh substrate: topology, wires, comparator machine."""
 
-from repro.mesh.machine import LinkStats, MeshMachine, mesh_sort
+from repro.mesh.machine import LinkStats, MeshMachine
 from repro.mesh.topology import Cell, MeshTopology
 
-__all__ = ["LinkStats", "MeshMachine", "mesh_sort", "Cell", "MeshTopology"]
+__all__ = ["LinkStats", "MeshMachine", "Cell", "MeshTopology"]

@@ -33,7 +33,7 @@ from repro.mesh.topology import Cell, MeshTopology
 from repro.obs.context import resolve_observer
 from repro.obs.events import Observer
 
-__all__ = ["LinkStats", "MeshMachine", "mesh_sort"]
+__all__ = ["LinkStats", "MeshMachine"]
 
 
 @dataclass
@@ -110,7 +110,7 @@ class MeshMachine:
         Returns the number of swaps the step performed.  When the machine
         is stepped manually with an attached observer, step/cycle events are
         dispatched through the driver's emit helpers; when the machine runs
-        under the unified driver (``mesh_sort`` or the ``"mesh"`` backend),
+        under the unified driver (the ``"mesh"`` backend),
         the driver is the sole emitter and ``self.observer`` is ``None``.
         """
         from repro.backends.driver import emit_cycle, emit_step
@@ -156,35 +156,3 @@ class MeshMachine:
     def is_sorted(self) -> bool:
         return bool(is_sorted_grid(self.as_array(), self.schedule.order))
 
-
-def mesh_sort(
-    schedule: Schedule,
-    grid: np.ndarray,
-    *,
-    max_steps: int,
-    topology: MeshTopology | None = None,
-    observer: Observer | None = None,
-) -> tuple[int, MeshMachine]:
-    """Sort one grid to completion on the processor-level machine.
-
-    Returns ``(t_f, machine)``; the machine exposes the final memories and
-    the per-wire traffic statistics.  Raises
-    :class:`~repro.errors.StepLimitExceeded` if the cap is hit.
-    Compatibility shim over :func:`repro.backends.run_sort` on the
-    ``"mesh"`` backend (a private backend instance carries ``topology``
-    through and hands the machine back).
-    """
-    from repro.backends.driver import run_sort
-    from repro.backends.mesh import MeshBackend
-
-    backend = MeshBackend(topology=topology)
-    outcome = run_sort(
-        backend,
-        schedule,
-        grid,
-        max_steps=max_steps,
-        raise_on_cap=True,
-        observer=observer,
-    )
-    assert backend.last_machine is not None
-    return outcome.steps_scalar(), backend.last_machine

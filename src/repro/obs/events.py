@@ -137,7 +137,7 @@ class CycleEvent:
 class RunEnd:
     """Outcome of a run.
 
-    ``steps`` mirrors :attr:`repro.core.engine.SortOutcome.steps` for
+    ``steps`` mirrors :attr:`repro.backends.SortOutcome.steps` for
     sort-to-completion runs (batch-shaped; -1 where the cap was hit) and is
     the executed step count for fixed-step runs.
     """

@@ -7,8 +7,7 @@ package is deterministic given (seed, scale), replaying the manifest's
 :func:`replay_command` must reproduce the digest bit-for-bit; the test suite
 asserts this round trip.
 
-Manifests are written next to trace files by ``python -m repro.experiments
---trace DIR`` so every table under ``results/`` can name the manifest that
+Manifests are written next to trace files by ``repro run --trace DIR`` so every table under ``results/`` can name the manifest that
 produced it.
 """
 
@@ -118,7 +117,7 @@ def replay_command(manifest: RunManifest) -> str:
     """The CLI invocation that reproduces the manifest's result digest."""
     if manifest.kind != "experiment" or not manifest.exp_id:
         raise DimensionError("replay_command needs an experiment manifest")
-    parts = ["python", "-m", "repro.experiments", manifest.exp_id]
+    parts = ["repro", "run", manifest.exp_id]
     if manifest.scale:
         parts += ["--scale", manifest.scale]
     if manifest.seed is not None:

@@ -5,15 +5,10 @@ step definitions requires it: the snakelike algorithms run on any
 rectangle, and the row-major algorithms on any rectangle with an even
 number of columns (the wrap-around constraint transfers to the column
 count).  The E-RECT experiment confirms the Θ(N) average-case behaviour
-persists across aspect ratios.
+persists across aspect ratios.  This package holds the rectangular target
+orders; runs go through the ``"rect"`` backend of :mod:`repro.backends`.
 """
 
-from repro.rect.engine import (
-    RectCompiledSchedule,
-    RectSortOutcome,
-    rect_run_until_sorted,
-    rect_step_cap,
-)
 from repro.rect.orders import (
     rect_is_sorted,
     rect_rank_grid,
@@ -22,10 +17,6 @@ from repro.rect.orders import (
 )
 
 __all__ = [
-    "RectCompiledSchedule",
-    "RectSortOutcome",
-    "rect_run_until_sorted",
-    "rect_step_cap",
     "rect_is_sorted",
     "rect_rank_grid",
     "rect_target_grid",

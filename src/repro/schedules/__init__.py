@@ -21,6 +21,7 @@ from repro.schedules.baselines import (
     build_shearsort,
     shearsort_phases,
     shearsort_step_count,
+    smallest_column_adversary,
 )
 from repro.schedules.linear import LINEAR_FAMILIES, build_odd_even
 from repro.schedules.paper import PAPER_FAMILIES
@@ -64,6 +65,7 @@ __all__ = [
     "build_random_network",
     "shearsort_phases",
     "shearsort_step_count",
+    "smallest_column_adversary",
 ]
 
 for _family in (

@@ -1,15 +1,18 @@
 """Baseline families: shearsort and the broken wire-less row-major variant.
 
-Shearsort construction lives here (``repro.baselines.shearsort`` is now a
-deprecation shim over this module).  It is the registry's canonical *sided*
-family: the step list depends on the mesh side, so instances are named in
+Shearsort is the registry's canonical *sided* family: the step list depends on the mesh side, so instances are named in
 spec syntax — ``shearsort[side=8]`` — and the side is part of every
 name-keyed identity (compile cache, campaign fingerprints).
+
+The wire-less row-major variant comes with its demonstrating input,
+:func:`smallest_column_adversary`.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.core.phases import (
     col_even_bubble,
@@ -26,6 +29,7 @@ __all__ = [
     "shearsort_step_count",
     "build_shearsort",
     "build_row_major_no_wrap",
+    "smallest_column_adversary",
     "BASELINE_FAMILIES",
 ]
 
@@ -108,6 +112,29 @@ def build_row_major_no_wrap() -> Schedule:
         requires_even_side=True,
         metadata={"family": "broken-baseline", "topology": "square"},
     )
+
+
+def smallest_column_adversary(side: int, *, column: int = 0) -> np.ndarray:
+    """The paper's adversarial input: the smallest ``side`` values down one
+    column, the rest in row-major order elsewhere.
+
+    Section 1: "Suppose that we did not have them and the smallest 2n
+    numbers were initially stored by the cells in column 1.  Then the
+    smallest 2n numbers will be forced to stay in the same column at each
+    step and we would never get the desired ordering."  With wrap-around
+    wires this is (close to) the worst case of Corollary 1; without them
+    it can never be sorted into row-major order.
+    """
+    if side < 2:
+        raise DimensionError(f"side must be >= 2, got {side}")
+    if not 0 <= column < side:
+        raise DimensionError(f"column {column} out of range for side {side}")
+    grid = np.empty((side, side), dtype=np.int64)
+    rest = iter(range(side, side * side))
+    for r in range(side):
+        for c in range(side):
+            grid[r, c] = r if c == column else next(rest)
+    return grid
 
 
 BASELINE_FAMILIES: tuple[ScheduleFamily, ...] = (

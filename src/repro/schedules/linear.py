@@ -10,8 +10,9 @@ two-step cycle of row transpositions executed on a ``1 × N`` mesh:
 
 This matches :func:`repro.linear.odd_even.transposition_step` exactly
 (odd ``t`` → offset 0), so driving this family through the rectangular
-backend reproduces the historical pure-NumPy sorter bit for bit — the shim
-tests in ``tests/schedules`` assert it.
+backend reproduces the historical pure-NumPy sorter bit for bit —
+``tests/schedules/test_shims.py`` keeps that sorter as an oracle and
+asserts it.
 """
 
 from __future__ import annotations

@@ -29,10 +29,18 @@ Liveness protocol (a lock holder can die holding the lock):
   the lock body unchanged (same heartbeat, same inode) for at least
   ``stale_after`` seconds of its own waiting, measured with a
   :class:`~repro.obs.timing.StopWatch`.
-* Breaking a stale lock is itself race-free: the contender renames the
-  lock file (``os.replace``) to a unique name first, and only the one
-  contender whose rename succeeds proceeds — everyone else sees the
-  file vanish and retries the ordinary ``O_EXCL`` create.
+* Breaking a stale lock is itself race-free, and a contender only ever
+  breaks the lock file it judged stale.  It records that file's identity
+  (inode, mtime, body) when judging, then claims the break by hard-linking
+  the lock file to ``<name>.break`` — an atomic create that at most one
+  contender wins.  The link pins the inode being broken: if it is not the
+  recorded one, a newer lock replaced the stale one in between, and the
+  contender backs off.  Otherwise it unlinks the lock file (while the
+  break name is held, no other contender can remove it, and no
+  ``O_EXCL`` create can replace it), drops the break name and retries the
+  ordinary ``O_EXCL`` create.  A break name left behind by a contender
+  that died mid-break is observed like a lock body and removed after
+  ``stale_after`` seconds unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +59,15 @@ from repro.obs.timing import StopWatch
 __all__ = ["LOCK_FORMAT", "FileLock"]
 
 LOCK_FORMAT = "repro-lock"
+
+
+def _parse_body(raw: bytes) -> dict[str, Any] | None:
+    """A lock body as a dict (``None`` when torn or not JSON)."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) else None
 
 
 def _pid_alive(pid: int) -> bool:
@@ -130,10 +147,9 @@ class FileLock:
     def read_owner(self) -> dict[str, Any] | None:
         """The current lock body (``None`` when absent or unreadable)."""
         try:
-            doc = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            return _parse_body(self.path.read_bytes())
+        except OSError:
             return None
-        return doc if isinstance(doc, dict) else None
 
     # ------------------------------------------------------------------
     # Acquire / release.
@@ -211,10 +227,7 @@ class FileLock:
             return
         self._held = False
         self._heartbeat = 0
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        _unlink_quietly(self.path)
 
     def bump(self) -> int:
         """Owner heartbeat: bump the logical counter and rewrite the body.
@@ -244,43 +257,83 @@ class FileLock:
         Returns True when *this* contender won the break (or the file
         vanished on its own) and should retry the ``O_EXCL`` create.
         """
+        breaker = self._breaker_path()
+        try:
+            held = os.stat(breaker)
+        except OSError:
+            pass
+        else:
+            # Another contender is mid-break (or died mid-break: its
+            # break name is then removed once observed unchanged).
+            if self._observed_unchanged(("break", held.st_ino, held.st_ctime_ns)):
+                _unlink_quietly(breaker)
+            return False
         try:
             stat = os.stat(self.path)
+            raw = self.path.read_bytes()
         except OSError:
             return True  # vanished: retry the create immediately
-        doc = self.read_owner()
+        judged = (stat.st_ino, stat.st_mtime_ns, raw)
+        doc = _parse_body(raw)
         if doc is not None and doc.get("host") == self._host:
             pid = doc.get("pid")
             if isinstance(pid, int) and pid > 0:
                 # On-host liveness is authoritative: reclaim a dead owner
                 # now, never reclaim a live one however quiet it is.
-                return not _pid_alive(pid) and self._steal()
-        if self.stale_after is None:
-            return False
+                return not _pid_alive(pid) and self._steal(judged)
         heartbeat = doc.get("heartbeat") if doc is not None else None
         observed = (stat.st_ino, heartbeat, stat.st_mtime_ns if doc is None else None)
+        return self._observed_unchanged(observed) and self._steal(judged)
+
+    def _observed_unchanged(self, observed: tuple[Any, ...]) -> bool:
+        """Whether ``observed`` has sat unchanged for ``stale_after`` seconds
+        of this contender's watching (never, when ``stale_after`` is None)."""
+        if self.stale_after is None:
+            return False
         if observed != self._observed:
             self._observed = observed
             self._observed_for = StopWatch().start()
             return False
         assert self._observed_for is not None
-        if self._observed_for.elapsed < self.stale_after:
-            return False
-        return self._steal()
+        return self._observed_for.elapsed >= self.stale_after
 
-    def _steal(self) -> bool:
-        """Rename-then-unlink break: exactly one contender wins."""
-        target = self.path.with_name(
-            f"{self.path.name}.stale-{os.getpid()}-{id(self):x}"
-        )
+    def _breaker_path(self) -> Path:
+        return self.path.with_name(f"{self.path.name}.break")
+
+    def _steal(self, judged: tuple[Any, ...]) -> bool:
+        """Break the lock file judged stale — and only that one.
+
+        ``judged`` is the ``(inode, mtime_ns, body)`` seen when judging.
+        Hard-linking the lock file to the break name claims the break
+        (at most one contender holds that name) and pins the inode
+        actually at ``path``; a mismatch means the stale lock was already
+        broken and replaced by a live one, which is left alone.
+        """
+        breaker = self._breaker_path()
         try:
-            os.replace(self.path, target)
+            os.link(self.path, breaker)
+        except FileNotFoundError:
+            return True  # vanished: retry the create immediately
         except OSError:
-            return False  # someone else broke it (or the owner released)
+            return False  # another contender holds the break name
         try:
-            target.unlink()
+            stat = os.stat(breaker)
+            if (stat.st_ino, stat.st_mtime_ns, breaker.read_bytes()) != judged:
+                return False
+            # While the break name is held only a live owner could change
+            # ``path``; the judged owner is gone, so this is its inode.
+            os.unlink(self.path)
         except OSError:
-            pass
+            return False
+        finally:
+            _unlink_quietly(breaker)
         self._observed = None
         self._observed_for = None
         return True
+
+
+def _unlink_quietly(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass

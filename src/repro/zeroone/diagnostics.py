@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends.base import step_cap
 from repro.backends.compile import compiled_schedule
 from repro.backends.driver import emit_cycle, emit_run_end, emit_run_start, emit_step
-from repro.core.engine import default_step_cap
 from repro.core.orders import linearize, target_grid, validate_grid
 from repro.core.runner import resolve_algorithm
 from repro.core.schedule import Schedule
@@ -113,7 +113,7 @@ def run_diagnostics(
     if work.ndim != 2:
         raise DimensionError("run_diagnostics expects a single grid")
     if max_steps is None:
-        max_steps = default_step_cap(side)
+        max_steps = step_cap(side)
     compiled = compiled_schedule(schedule, side)
     target = target_grid(work, side, schedule.order)
     cycle = len(schedule.steps)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import CompiledSchedule
+from repro.backends.compile import CompiledSchedule
 from repro.core.orders import rank_of_position, validate_grid
 from repro.core.runner import resolve_algorithm as _resolve
 from repro.core.schedule import Schedule

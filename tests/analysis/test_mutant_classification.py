@@ -61,10 +61,8 @@ def test_genuine_schedule_is_never_misclassified(name):
 
 EXECUTOR_PREFIXES = (
     "repro.backends",
-    "repro.core.engine",
     "repro.core.reference",
     "repro.mesh",
-    "repro.rect.engine",
 )
 
 

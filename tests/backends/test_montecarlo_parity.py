@@ -11,27 +11,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign.execution import ExecutionOptions
 from repro.errors import DimensionError
+from repro.experiments import sample
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.montecarlo import (
-    _sort_steps_values as sample_sort_steps,
-    _statistic_values as sample_statistic_after_steps,
-)
 from repro.zeroone.weights import first_column_zeros
 
 
-def test_sample_sort_steps_backend_parity():
-    baseline = sample_sort_steps("snake_1", 6, 8, seed=123)
+def test_sample_backend_parity():
+    baseline = sample("snake_1", side=6, trials=8, seed=123).values
     for backend in ("reference", "mesh", "rect"):
-        steps = sample_sort_steps("snake_1", 6, 8, seed=123, backend=backend)
+        steps = sample("snake_1", side=6, trials=8, seed=123, backend=backend).values
         np.testing.assert_array_equal(steps, baseline)
 
 
-def test_sample_sort_steps_parity_across_batch_boundaries():
-    baseline = sample_sort_steps("row_major_row_first", 4, 7, seed=9, batch_size=3)
-    again = sample_sort_steps(
-        "row_major_row_first", 4, 7, seed=9, batch_size=3, backend="reference"
-    )
+def test_sample_parity_across_batch_boundaries():
+    baseline = sample("row_major_row_first", side=4, trials=7, seed=9, batch_size=3).values
+    again = sample(
+        "row_major_row_first", side=4, trials=7, seed=9, batch_size=3, backend="reference"
+    ).values
     np.testing.assert_array_equal(again, baseline)
 
 
@@ -39,16 +37,19 @@ def test_sample_statistic_backend_parity():
     def stat(grids):
         return np.atleast_1d(np.asarray(first_column_zeros(grids)))
 
-    baseline = sample_statistic_after_steps("snake_1", 6, 10, stat, seed=77)
+    def draw(backend=None):
+        return sample(
+            "snake_1", side=6, trials=10, kind="statistic", statistic=stat,
+            seed=77, backend=backend,
+        ).values
+
+    baseline = draw()
     for backend in ("reference", "rect"):
-        values = sample_statistic_after_steps(
-            "snake_1", 6, 10, stat, seed=77, backend=backend
-        )
-        np.testing.assert_array_equal(values, baseline)
+        np.testing.assert_array_equal(draw(backend), baseline)
 
 
 def test_experiment_config_validates_backend():
-    cfg = ExperimentConfig(backend="reference")
-    assert cfg.backend == "reference"
+    cfg = ExperimentConfig(execution=ExecutionOptions(backend="reference"))
+    assert cfg.execution.backend == "reference"
     with pytest.raises(DimensionError, match="unknown backend"):
-        ExperimentConfig(backend="no-such-backend")
+        ExperimentConfig(execution=ExecutionOptions(backend="no-such-backend"))

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.no_wrap import smallest_column_adversary
-from repro.schedules import build_row_major_no_wrap
-from repro.core.engine import run_fixed_steps, run_until_sorted
+from repro.backends import run_sort, run_steps
 from repro.core.runner import sort_grid
 from repro.errors import DimensionError
+from repro.schedules import build_row_major_no_wrap, smallest_column_adversary
 from repro.zeroone.threshold import threshold_matrix
 from repro.zeroone.weights import column_zeros
 
@@ -40,13 +39,15 @@ class TestNoWrapNeverSorts:
         zero_one = threshold_matrix(adversary, side)
         schedule = build_row_major_no_wrap()
         zeros_before = column_zeros(zero_one)
-        after = run_fixed_steps(schedule, zero_one, 8 * side)
+        after = run_steps("vectorized", schedule, zero_one, 8 * side)
         np.testing.assert_array_equal(column_zeros(after), zeros_before)
 
     def test_never_completes(self):
         side = 6
         adversary = smallest_column_adversary(side)
-        out = run_until_sorted(build_row_major_no_wrap(), adversary, max_steps=4 * side * side)
+        out = run_sort(
+            "vectorized", build_row_major_no_wrap(), adversary, max_steps=4 * side * side
+        )
         assert not out.all_completed
 
     def test_wired_version_completes_same_input(self):

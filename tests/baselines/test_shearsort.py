@@ -5,30 +5,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.schedules import build_shearsort, shearsort_step_count
-from repro.core.engine import run_fixed_steps, run_until_sorted
+from repro.backends import run_sort, run_steps
 from repro.core.orders import is_sorted_grid, target_grid
 from repro.errors import DimensionError
 from repro.randomness import random_permutation_grid
+from repro.schedules import build_shearsort, shearsort_step_count
 
 
 class TestShearsortCorrectness:
     @pytest.mark.parametrize("side", [2, 4, 7, 8, 16])
     def test_sorts_within_schedule_length(self, side, rng):
         grids = random_permutation_grid(side, batch=10, rng=rng)
-        out = run_until_sorted(build_shearsort(side=side), grids, max_steps=shearsort_step_count(side))
+        out = run_sort(
+            "vectorized", build_shearsort(side=side), grids, max_steps=shearsort_step_count(side)
+        )
         assert out.all_completed
         assert is_sorted_grid(out.final, "snake").all()
 
     def test_exhaustive_zero_one_4x4(self):
         grids = ((np.arange(65536)[:, None] >> np.arange(16)) & 1).astype(np.int8).reshape(-1, 4, 4)
-        out = run_until_sorted(build_shearsort(side=4), grids, max_steps=shearsort_step_count(4))
+        out = run_sort(
+            "vectorized", build_shearsort(side=4), grids, max_steps=shearsort_step_count(4)
+        )
         assert out.all_completed
 
     def test_sorted_is_fixed_point(self):
         side = 6
         tgt = target_grid(np.arange(side * side), side, "snake")
-        after = run_fixed_steps(build_shearsort(side=side), tgt, shearsort_step_count(side))
+        after = run_steps(
+            "vectorized", build_shearsort(side=side), tgt, shearsort_step_count(side)
+        )
         np.testing.assert_array_equal(after, tgt)
 
 

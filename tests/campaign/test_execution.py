@@ -1,9 +1,8 @@
-"""ExecutionOptions: validation, facade equivalence, deprecation shims."""
+"""ExecutionOptions: validation, facade equivalence, ExperimentConfig."""
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -116,35 +115,20 @@ class TestFacadeEquivalence:
 
 class TestExperimentConfig:
     def test_legacy_fields_build_execution(self):
-        cfg = ExperimentConfig(scale="quick", workers=3)
-        assert cfg.execution.workers == 3
-        assert cfg.execution.backend == "vectorized"
+        """Execution settings live only in ``execution``; the default runs
+        the vectorized backend in-process."""
+        cfg = ExperimentConfig(scale="quick")
+        assert cfg.execution == ExecutionOptions(backend="vectorized")
+        assert [f.name for f in fields(cfg)] == ["scale", "seed", "execution"]
 
     def test_explicit_execution_syncs_legacy_mirrors(self, tmp_path):
-        cfg = ExperimentConfig(
-            scale="quick",
-            execution=ExecutionOptions(workers=2, checkpoint_dir=tmp_path),
-        )
-        assert cfg.workers == 2
-        assert cfg.checkpoint_dir == str(tmp_path)
-
-    def test_sampler_kwargs_is_deprecated_shim(self):
-        cfg = ExperimentConfig(scale="quick")
-        with pytest.warns(DeprecationWarning, match="sampler_kwargs"):
-            kwargs = cfg.sampler_kwargs
-        assert kwargs == {"execution": cfg.execution}
-
-    def test_sampler_kwargs_still_drives_sample(self):
-        cfg = ExperimentConfig(scale="quick", seed=99)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = sample(
-                "snake_1", side=6, trials=40, seed=99, **cfg.sampler_kwargs
-            )
-        direct = sample(
-            "snake_1", side=6, trials=40, seed=99, execution=cfg.execution
-        )
-        assert legacy.values_digest == direct.values_digest
+        """An explicit ``execution`` is kept as given; the loose execution
+        fields are gone from the constructor."""
+        execution = ExecutionOptions(workers=2, checkpoint_dir=tmp_path)
+        cfg = ExperimentConfig(scale="quick", execution=execution)
+        assert cfg.execution is execution
+        with pytest.raises(TypeError):
+            ExperimentConfig(scale="quick", workers=2)  # type: ignore[call-arg]
 
 
 class TestCheckpointErrorFields:
@@ -175,12 +159,3 @@ class TestCheckpointErrorFields:
         assert excinfo.value.spec_fingerprint is None
         assert excinfo.value.checkpoint_fingerprint is None
 
-
-class TestDeprecatedMainShim:
-    def test_python_m_experiments_warns_and_forwards(self, capsys):
-        import repro.experiments.__main__ as shim
-
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            code = shim.main(["--list"])
-        assert code == 0
-        assert "E-T2" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.core.embedding import (
     embedded_pairs_odd_step,
     from_embedded_array,
 )
-from repro.core.engine import run_fixed_steps
+from repro.backends import run_steps
 from repro.core.schedule import comparator_pairs
 from repro.errors import DimensionError
 from repro.linear.odd_even import transposition_step
@@ -69,7 +69,7 @@ class TestStepEquivalence:
     @pytest.mark.parametrize("side", [4, 6])
     def test_row_odd_step_is_linear_odd_step(self, side, rng):
         grid = random_permutation_grid(side, rng=rng)
-        mesh_after = run_fixed_steps(get_algorithm("row_major_row_first"), grid, 1)
+        mesh_after = run_steps("vectorized", get_algorithm("row_major_row_first"), grid, 1)
         linear = as_embedded_array(grid)
         transposition_step(linear, 1)  # 1-D odd step
         np.testing.assert_array_equal(as_embedded_array(mesh_after), linear)
@@ -78,7 +78,7 @@ class TestStepEquivalence:
     def test_row_even_plus_wrap_is_linear_even_step(self, side, rng):
         grid = random_permutation_grid(side, rng=rng)
         # isolate step 3 by starting the schedule there
-        from repro.core.engine import CompiledSchedule
+        from repro.backends import CompiledSchedule
 
         compiled = CompiledSchedule(get_algorithm("row_major_row_first"), side)
         work = grid.copy()
@@ -99,7 +99,7 @@ class TestStepEquivalence:
                 int(x > y) for i, x in enumerate(a) for y in a[i + 1 :]
             )
 
-        from repro.core.engine import CompiledSchedule
+        from repro.backends import CompiledSchedule
 
         compiled = CompiledSchedule(get_algorithm("row_major_row_first"), side)
         work = grid.copy()

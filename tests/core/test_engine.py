@@ -1,18 +1,12 @@
-"""Tests for the vectorized engine: kernels, completion detection, batching."""
+"""Tests for the vectorized backend: kernels, completion detection, batching."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.backends import CompiledSchedule, iter_run, run_sort, run_steps, step_cap
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import (
-    CompiledSchedule,
-    default_step_cap,
-    iter_steps,
-    run_fixed_steps,
-    run_until_sorted,
-)
 from repro.core.orders import is_sorted_grid, target_grid
 from repro.core.schedule import FORWARD, REVERSE, LineOp, Schedule, Step, WrapOp
 from repro.errors import DimensionError, StepLimitExceeded, UnsupportedMeshError
@@ -29,48 +23,48 @@ class TestKernels:
         # single row is not a valid mesh; embed in 4x4
         grid = np.array([[3, 1, 4, 0], [9, 9, 9, 9], [9, 9, 9, 9], [9, 9, 9, 9]])
         sched = _single_op_schedule(LineOp("row", 0, FORWARD))
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         np.testing.assert_array_equal(out[0], [1, 3, 0, 4])
 
     def test_row_even_bubble_spares_edges(self):
         grid = np.array([[5, 4, 3, 2], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]])
         sched = _single_op_schedule(LineOp("row", 1, FORWARD))
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         np.testing.assert_array_equal(out[0], [5, 3, 4, 2])
 
     def test_row_reverse_puts_smaller_right(self):
         grid = np.array([[1, 2, 3, 4], [4, 3, 2, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
         sched = _single_op_schedule(LineOp("row", 0, REVERSE))
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         np.testing.assert_array_equal(out[0], [2, 1, 4, 3])
         np.testing.assert_array_equal(out[1], [4, 3, 2, 1])
 
     def test_col_odd_bubble(self):
         grid = np.array([[4, 0], [1, 3]])
         sched = _single_op_schedule(LineOp("col", 0, FORWARD))
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         np.testing.assert_array_equal(out, [[1, 0], [4, 3]])
 
     def test_line_selector(self):
         grid = np.array([[2, 1], [2, 1]])
         sched = _single_op_schedule(LineOp("row", 0, FORWARD, lines="odd"))
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         np.testing.assert_array_equal(out, [[1, 2], [2, 1]])
 
     def test_wrap_kernel(self):
         grid = np.array([[9, 9, 9, 0], [5, 9, 9, 9], [9, 9, 9, 9], [9, 9, 9, 9]])
         sched = _single_op_schedule(WrapOp())
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         assert out[0, 3] == 0 and out[1, 0] == 5  # already ordered
         grid2 = np.array([[9, 9, 9, 7], [3, 9, 9, 9], [9, 9, 9, 9], [9, 9, 9, 9]])
-        out2 = run_fixed_steps(sched, grid2, 1)
+        out2 = run_steps("vectorized", sched, grid2, 1)
         assert out2[0, 3] == 3 and out2[1, 0] == 7
 
     def test_noop_on_short_line(self):
         # even step on side 2 has zero pairs
         grid = np.array([[2, 1], [4, 3]])
         sched = _single_op_schedule(LineOp("row", 1, FORWARD))
-        out = run_fixed_steps(sched, grid, 1)
+        out = run_steps("vectorized", sched, grid, 1)
         np.testing.assert_array_equal(out, grid)
 
 
@@ -91,43 +85,43 @@ class TestCompiledSchedule:
 class TestRunUntilSorted:
     def test_already_sorted_returns_zero(self, even_side):
         grid = target_grid(np.arange(even_side**2), even_side, "snake")
-        out = run_until_sorted(get_algorithm("snake_1"), grid)
+        out = run_sort("vectorized", get_algorithm("snake_1"), grid)
         assert out.steps_scalar() == 0
 
     def test_input_not_modified(self, rng):
         grid = random_permutation_grid(6, rng=rng)
         original = grid.copy()
-        run_until_sorted(get_algorithm("snake_1"), grid)
+        run_sort("vectorized", get_algorithm("snake_1"), grid)
         np.testing.assert_array_equal(grid, original)
 
     def test_batched_steps_match_individual(self, rng):
         grids = random_permutation_grid(6, batch=5, rng=rng)
-        batched = run_until_sorted(get_algorithm("snake_2"), grids)
+        batched = run_sort("vectorized", get_algorithm("snake_2"), grids)
         for i in range(5):
-            single = run_until_sorted(get_algorithm("snake_2"), grids[i])
+            single = run_sort("vectorized", get_algorithm("snake_2"), grids[i])
             assert int(batched.steps[i]) == single.steps_scalar()
 
     def test_cap_reports_minus_one(self, rng):
         grid = random_permutation_grid(8, rng=rng)
-        out = run_until_sorted(get_algorithm("snake_3"), grid, max_steps=2)
+        out = run_sort("vectorized", get_algorithm("snake_3"), grid, max_steps=2)
         assert int(out.steps) == -1
         assert not out.all_completed
 
     def test_cap_raises_when_asked(self, rng):
         grid = random_permutation_grid(8, rng=rng)
         with pytest.raises(StepLimitExceeded):
-            run_until_sorted(
-                get_algorithm("snake_3"), grid, max_steps=2, raise_on_cap=True
+            run_sort(
+                "vectorized", get_algorithm("snake_3"), grid, max_steps=2, raise_on_cap=True
             )
 
     def test_final_grid_is_sorted(self, rng, even_side):
         grid = random_permutation_grid(even_side, rng=rng)
-        out = run_until_sorted(get_algorithm("row_major_row_first"), grid)
+        out = run_sort("vectorized", get_algorithm("row_major_row_first"), grid)
         assert is_sorted_grid(out.final, "row_major")
 
     def test_steps_scalar_rejects_batch(self, rng):
         grids = random_permutation_grid(4, batch=2, rng=rng)
-        out = run_until_sorted(get_algorithm("snake_1"), grids)
+        out = run_sort("vectorized", get_algorithm("snake_1"), grids)
         with pytest.raises(DimensionError):
             out.steps_scalar()
 
@@ -135,28 +129,28 @@ class TestRunUntilSorted:
 class TestIterSteps:
     def test_yields_num_steps(self, rng):
         grid = random_permutation_grid(4, rng=rng)
-        snaps = list(iter_steps(get_algorithm("snake_1"), grid, 7))
+        snaps = list(iter_run("vectorized", get_algorithm("snake_1"), grid, 7))
         assert [t for t, _ in snaps] == list(range(1, 8))
 
     def test_snapshots_independent(self, rng):
         grid = random_permutation_grid(4, rng=rng)
-        snaps = [s for _, s in iter_steps(get_algorithm("snake_1"), grid, 4)]
+        snaps = [s for _, s in iter_run("vectorized", get_algorithm("snake_1"), grid, 4)]
         snaps[0][0, 0] = -99
         assert snaps[1][0, 0] != -99 or True  # no aliasing crash
         # and more precisely: mutating one snapshot leaves others intact
         assert not np.array_equal(snaps[0], snaps[1]) or True
 
-    def test_matches_run_fixed_steps(self, rng):
+    def test_matches_run_steps(self, rng):
         grid = random_permutation_grid(6, rng=rng)
         last = None
-        for _, snap in iter_steps(get_algorithm("snake_2"), grid, 9):
+        for _, snap in iter_run("vectorized", get_algorithm("snake_2"), grid, 9):
             last = snap
         np.testing.assert_array_equal(
-            last, run_fixed_steps(get_algorithm("snake_2"), grid, 9)
+            last, run_steps("vectorized", get_algorithm("snake_2"), grid, 9)
         )
 
 
 class TestDefaultStepCap:
     def test_superlinear_in_n(self):
-        assert default_step_cap(8) >= 8 * 64
-        assert default_step_cap(16) > default_step_cap(8)
+        assert step_cap(8) >= 8 * 64
+        assert step_cap(16) > step_cap(8)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import run_fixed_steps, run_until_sorted
+from repro.backends import run_sort, run_steps
 from repro.core.orders import target_grid
 from repro.core.phases import (
     col_even_bubble,
@@ -40,31 +40,29 @@ class TestExtendingExample:
 
     def test_exhaustive_zero_one_4x4(self):
         bits = ((np.arange(65536)[:, None] >> np.arange(16)) & 1).astype(np.int8)
-        out = run_until_sorted(snake_column_first(), bits.reshape(-1, 4, 4))
+        out = run_sort("vectorized", snake_column_first(), bits.reshape(-1, 4, 4))
         assert out.all_completed
 
     @pytest.mark.parametrize("side", [4, 6, 7, 9])
     def test_sorts_random_permutations(self, side, rng):
         grids = random_permutation_grid(side, batch=10, rng=rng)
-        out = run_until_sorted(snake_column_first(), grids)
+        out = run_sort("vectorized", snake_column_first(), grids)
         assert out.all_completed
 
     def test_sorted_fixed_point(self):
         side = 6
         tgt = target_grid(np.arange(side * side), side, "snake")
-        after = run_fixed_steps(snake_column_first(), tgt, 4 * side)
+        after = run_steps("vectorized", snake_column_first(), tgt, 4 * side)
         np.testing.assert_array_equal(after, tgt)
 
     def test_composes_with_harness(self, rng):
-        from repro.experiments.montecarlo import _sort_steps_values as sample_sort_steps
         from repro.core.metrics import schedule_metrics
-        from repro.mesh.machine import mesh_sort
-        from repro.core.engine import default_step_cap
+        from repro.experiments import sample
 
-        steps = sample_sort_steps(snake_column_first(), 6, 4, seed=0)
+        steps = sample(snake_column_first(), side=6, trials=4, seed=0).values
         assert (steps > 0).all()
         m = schedule_metrics(snake_column_first(), 6)
         assert m.comparators_per_cycle > 0
         grid = random_permutation_grid(6, rng=rng)
-        t, _ = mesh_sort(snake_column_first(), grid, max_steps=default_step_cap(6))
-        assert t == run_until_sorted(snake_column_first(), grid).steps_scalar()
+        t = run_sort("mesh", snake_column_first(), grid, raise_on_cap=True).steps_scalar()
+        assert t == run_sort("vectorized", snake_column_first(), grid).steps_scalar()

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.no_wrap import smallest_column_adversary
+from repro.backends import run_sort, step_cap
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.core.faults import FaultyCompiledSchedule, faulty_run_until_sorted
 from repro.errors import DimensionError, StepLimitExceeded
 from repro.randomness import random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 
 class TestHealthyPathEquivalence:
@@ -19,15 +19,15 @@ class TestHealthyPathEquivalence:
         side = 6
         grid = random_permutation_grid(side, rng=rng)
         schedule = get_algorithm(name)
-        healthy = run_until_sorted(schedule, grid)
+        healthy = run_sort("vectorized", schedule, grid)
         faulty = faulty_run_until_sorted(
-            schedule, grid, max_steps=default_step_cap(side)
+            schedule, grid, max_steps=step_cap(side)
         )
         assert healthy.steps_scalar() == faulty.steps_scalar()
         np.testing.assert_array_equal(healthy.final, faulty.final)
 
     def test_stepwise_equivalence(self, rng):
-        from repro.core.engine import CompiledSchedule
+        from repro.backends import CompiledSchedule
 
         side = 6
         grid = random_permutation_grid(side, rng=rng)

@@ -1,4 +1,4 @@
-"""Tests for the rectangular-mesh extension package."""
+"""Tests for rectangular meshes: target orders and the rect backend."""
 
 from __future__ import annotations
 
@@ -7,19 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import CompiledSchedule, run_sort, step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, SNAKE_NAMES, get_algorithm
-from repro.core.engine import run_until_sorted
 from repro.errors import DimensionError, StepLimitExceeded, UnsupportedMeshError
 from repro.randomness import random_permutation_grid
-from repro.rect import (
-    RectCompiledSchedule,
-    rect_is_sorted,
-    rect_rank_grid,
-    rect_run_until_sorted,
-    rect_step_cap,
-    rect_target_grid,
-    validate_rect,
-)
+from repro.rect import rect_is_sorted, rect_rank_grid, rect_target_grid, validate_rect
 
 
 def _perm(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -63,22 +55,22 @@ class TestRectExecution:
         schedule = get_algorithm(name)
         if schedule.requires_even_side and cols % 2:
             pytest.skip("row-major needs even column count")
-        out = rect_run_until_sorted(schedule, _perm(rows, cols, 1))
+        out = run_sort("rect", schedule, _perm(rows, cols, 1))
         assert bool(np.all(out.completed))
         assert rect_is_sorted(out.final, schedule.order)
 
     @pytest.mark.parametrize("name", SNAKE_NAMES)
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (7, 4)])
     def test_snakes_on_odd_shapes(self, name, shape):
-        out = rect_run_until_sorted(get_algorithm(name), _perm(*shape, 2))
+        out = run_sort("rect", get_algorithm(name), _perm(*shape, 2))
         assert bool(np.all(out.completed))
 
     def test_row_major_odd_cols_rejected(self):
         with pytest.raises(UnsupportedMeshError):
-            RectCompiledSchedule(get_algorithm("row_major_row_first"), 4, 5)
+            CompiledSchedule(get_algorithm("row_major_row_first"), 4, 5)
 
     def test_row_major_odd_rows_allowed(self):
-        out = rect_run_until_sorted(get_algorithm("row_major_row_first"), _perm(5, 4, 3))
+        out = run_sort("rect", get_algorithm("row_major_row_first"), _perm(5, 4, 3))
         assert bool(np.all(out.completed))
 
     def test_tiny_rejected(self):
@@ -86,30 +78,30 @@ class TestRectExecution:
         # linear arrays became first-class with the schedule registry's
         # linear topology and must compile and sort.
         with pytest.raises(UnsupportedMeshError):
-            RectCompiledSchedule(get_algorithm("snake_1"), 1, 1)
-        out = rect_run_until_sorted(get_algorithm("snake_1"), _perm(1, 4, 7))
+            CompiledSchedule(get_algorithm("snake_1"), 1, 1)
+        out = run_sort("rect", get_algorithm("snake_1"), _perm(1, 4, 7))
         assert bool(np.all(out.completed))
 
     def test_cap(self):
-        out = rect_run_until_sorted(get_algorithm("snake_3"), _perm(4, 6, 4), max_steps=1)
+        out = run_sort("rect", get_algorithm("snake_3"), _perm(4, 6, 4), max_steps=1)
         assert int(out.steps) == -1
         with pytest.raises(StepLimitExceeded):
-            rect_run_until_sorted(
-                get_algorithm("snake_3"), _perm(4, 6, 4), max_steps=1, raise_on_cap=True
+            run_sort(
+                "rect", get_algorithm("snake_3"), _perm(4, 6, 4), max_steps=1, raise_on_cap=True
             )
 
     def test_batched(self):
         grids = np.stack([_perm(4, 6, s) for s in range(5)])
-        out = rect_run_until_sorted(get_algorithm("snake_1"), grids)
+        out = run_sort("rect", get_algorithm("snake_1"), grids)
         assert out.steps.shape == (5,)
         assert bool(np.all(out.completed))
 
     def test_step_cap_scales(self):
-        assert rect_step_cap(4, 8) > 8 * 32
+        assert step_cap(4, 8) > 8 * 32
 
 
 class TestSquareAgreement:
-    """On squares, the rect executor must agree exactly with the core engine."""
+    """On squares, the rect backend must agree exactly with the vectorized one."""
 
     @given(
         name=st.sampled_from(ALGORITHM_NAMES),
@@ -119,7 +111,7 @@ class TestSquareAgreement:
     @settings(max_examples=20)
     def test_same_step_counts(self, name, side, seed):
         grid = random_permutation_grid(side, rng=seed)
-        core = run_until_sorted(get_algorithm(name), grid)
-        rect = rect_run_until_sorted(get_algorithm(name), grid)
+        core = run_sort("vectorized", get_algorithm(name), grid)
+        rect = run_sort("rect", get_algorithm(name), grid)
         assert core.steps_scalar() == rect.steps_scalar()
         np.testing.assert_array_equal(core.final, rect.final)

@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.backends import run_sort, step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.randomness import random_zero_one_grid
 
 
@@ -35,7 +35,7 @@ def _grids_with_zero_cells(side: int, k: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_exhaustive_low_zero_strata_6x6(name, k):
     grids = _grids_with_zero_cells(6, k)
-    out = run_until_sorted(get_algorithm(name), grids, max_steps=default_step_cap(6))
+    out = run_sort("vectorized", get_algorithm(name), grids, max_steps=step_cap(6))
     assert out.all_completed
 
 
@@ -44,7 +44,7 @@ def test_exhaustive_low_zero_strata_6x6(name, k):
 def test_exhaustive_high_zero_strata_6x6(name, k):
     """By 0-1 symmetry these mirror the low strata; certify them directly."""
     grids = (1 - _grids_with_zero_cells(6, 36 - k)).astype(np.int8)
-    out = run_until_sorted(get_algorithm(name), grids, max_steps=default_step_cap(6))
+    out = run_sort("vectorized", get_algorithm(name), grids, max_steps=step_cap(6))
     assert out.all_completed
 
 
@@ -55,7 +55,7 @@ def test_stratified_random_sample_6x6(name, rng):
     for k in range(0, 37, 3):
         batches.append(random_zero_one_grid(6, zeros=k, batch=64, rng=rng))
     grids = np.concatenate(batches)
-    out = run_until_sorted(get_algorithm(name), grids, max_steps=default_step_cap(6))
+    out = run_sort("vectorized", get_algorithm(name), grids, max_steps=step_cap(6))
     assert out.all_completed
 
 
@@ -64,5 +64,5 @@ def test_stratified_random_sample_6x6(name, rng):
 def test_exhaustive_low_zero_strata_5x5(name, k):
     """Odd-side boundary strata for the snakelike algorithms."""
     grids = _grids_with_zero_cells(5, k)
-    out = run_until_sorted(get_algorithm(name), grids, max_steps=default_step_cap(5))
+    out = run_sort("vectorized", get_algorithm(name), grids, max_steps=step_cap(5))
     assert out.all_completed

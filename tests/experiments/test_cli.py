@@ -1,4 +1,4 @@
-"""CLI coverage for ``python -m repro.experiments``.
+"""CLI coverage for ``repro run``.
 
 Runs :func:`repro.experiments.cli.main` in-process so exit codes,
 stdout/stderr, and emitted artifacts (CSV, traces, manifests, metrics)
@@ -72,9 +72,7 @@ class TestTrace:
         assert manifest.exp_id == "E-C1"
         assert manifest.seed == 20260706
         assert manifest.result_digest
-        assert replay_command(manifest).startswith(
-            "python -m repro.experiments E-C1"
-        )
+        assert replay_command(manifest).startswith("repro run E-C1")
 
     def test_trace_replay_reproduces_events(self, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]

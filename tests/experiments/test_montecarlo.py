@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StepLimitExceeded
-from repro.experiments.montecarlo import (
-    _sort_steps_values as sample_sort_steps,
-    _statistic_values as sample_statistic_after_steps,
-    summarize,
-)
+from repro.experiments.montecarlo import _sort_steps_values, _statistic_values, summarize
 from repro.zeroone.trackers import z1_statistic
 
 
@@ -37,55 +33,55 @@ class TestSummarize:
 
 class TestSampleSortSteps:
     def test_reproducible(self):
-        a = sample_sort_steps("snake_1", 6, 10, seed=7)
-        b = sample_sort_steps("snake_1", 6, 10, seed=7)
+        a = _sort_steps_values("snake_1", 6, 10, seed=7)
+        b = _sort_steps_values("snake_1", 6, 10, seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = sample_sort_steps("snake_1", 8, 10, seed=7)
-        b = sample_sort_steps("snake_1", 8, 10, seed=8)
+        a = _sort_steps_values("snake_1", 8, 10, seed=7)
+        b = _sort_steps_values("snake_1", 8, 10, seed=8)
         assert not np.array_equal(a, b)
 
     def test_batching_does_not_change_distribution(self):
-        a = sample_sort_steps("snake_1", 6, 12, seed=3, batch_size=4)
-        b = sample_sort_steps("snake_1", 6, 12, seed=3, batch_size=12)
+        a = _sort_steps_values("snake_1", 6, 12, seed=3, batch_size=4)
+        b = _sort_steps_values("snake_1", 6, 12, seed=3, batch_size=12)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_one_inputs(self):
-        steps = sample_sort_steps("snake_1", 6, 8, seed=1, input_kind="zero_one")
+        steps = _sort_steps_values("snake_1", 6, 8, seed=1, input_kind="zero_one")
         assert (steps >= 0).all()
 
     def test_unknown_input_kind(self):
         with pytest.raises(ValueError):
-            sample_sort_steps("snake_1", 6, 4, input_kind="gaussians")
+            _sort_steps_values("snake_1", 6, 4, input_kind="gaussians")
 
     def test_cap_raises(self):
         with pytest.raises(StepLimitExceeded):
-            sample_sort_steps("snake_3", 8, 4, max_steps=2)
+            _sort_steps_values("snake_3", 8, 4, max_steps=2)
 
     def test_all_positive_for_random_perms(self):
-        steps = sample_sort_steps("row_major_row_first", 6, 16, seed=5)
+        steps = _sort_steps_values("row_major_row_first", 6, 16, seed=5)
         assert (steps > 0).all()
 
 
 class TestSampleStatistic:
     def test_matches_direct_computation(self):
-        from repro.core.engine import run_fixed_steps
+        from repro.backends import run_steps
         from repro.core.algorithms import get_algorithm
         from repro.randomness import as_generator, random_zero_one_grid
 
-        sample = sample_statistic_after_steps(
+        sample = _statistic_values(
             "snake_1", 6, 5,
             lambda g: np.atleast_1d(np.asarray(z1_statistic(g))),
             seed=11, batch_size=5,
         )
         rng = as_generator(11)
         grids = random_zero_one_grid(6, batch=5, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
         np.testing.assert_array_equal(sample, np.asarray(z1_statistic(after)))
 
     def test_count(self):
-        sample = sample_statistic_after_steps(
+        sample = _statistic_values(
             "snake_1", 4, 23,
             lambda g: np.atleast_1d(np.asarray(z1_statistic(g))),
             seed=0, batch_size=7,

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.no_wrap import smallest_column_adversary
+from repro.backends import run_sort, step_cap
+from repro.backends.mesh import MeshBackend
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.errors import DimensionError, MissingWireError, StepLimitExceeded
-from repro.mesh.machine import MeshMachine, mesh_sort
+from repro.mesh.machine import MeshMachine
 from repro.mesh.topology import MeshTopology
 from repro.randomness import random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 
 class TestConstruction:
@@ -48,10 +49,10 @@ class TestExecution:
     def test_sorts_and_matches_engine(self, rng):
         grid = random_permutation_grid(6, rng=rng)
         for name in ("snake_1", "row_major_col_first"):
-            t, machine = mesh_sort(
-                get_algorithm(name), grid, max_steps=default_step_cap(6)
-            )
-            vec = run_until_sorted(get_algorithm(name), grid)
+            backend = MeshBackend()
+            t = run_sort(backend, get_algorithm(name), grid, max_steps=step_cap(6)).steps_scalar()
+            machine = backend.last_machine
+            vec = run_sort("vectorized", get_algorithm(name), grid)
             assert t == vec.steps_scalar()
             np.testing.assert_array_equal(machine.as_array(), vec.final)
             assert machine.is_sorted()
@@ -59,12 +60,12 @@ class TestExecution:
     def test_step_cap(self, rng):
         grid = random_permutation_grid(6, rng=rng)
         with pytest.raises(StepLimitExceeded):
-            mesh_sort(get_algorithm("snake_3"), grid, max_steps=1)
+            run_sort("mesh", get_algorithm("snake_3"), grid, max_steps=1, raise_on_cap=True)
 
     def test_already_sorted(self):
         grid = np.arange(16).reshape(4, 4)
-        t, _ = mesh_sort(get_algorithm("row_major_row_first"), grid, max_steps=10)
-        assert t == 0
+        out = run_sort("mesh", get_algorithm("row_major_row_first"), grid, max_steps=10)
+        assert out.steps_scalar() == 0
 
 
 class TestTrafficAccounting:
@@ -77,9 +78,9 @@ class TestTrafficAccounting:
 
     def test_wrap_wires_carry_traffic(self):
         adversary = smallest_column_adversary(6)
-        t, machine = mesh_sort(
-            get_algorithm("row_major_row_first"), adversary, max_steps=default_step_cap(6)
-        )
+        backend = MeshBackend()
+        run_sort(backend, get_algorithm("row_major_row_first"), adversary, max_steps=step_cap(6))
+        machine = backend.last_machine
         wrap_traffic = sum(
             count
             for (a, b), count in machine.stats.comparisons.items()
@@ -89,7 +90,8 @@ class TestTrafficAccounting:
 
     def test_busiest_links(self, rng):
         grid = random_permutation_grid(4, rng=rng)
-        t, machine = mesh_sort(get_algorithm("snake_2"), grid, max_steps=1000)
-        busiest = machine.stats.busiest_links(3)
+        backend = MeshBackend()
+        run_sort(backend, get_algorithm("snake_2"), grid, max_steps=1000)
+        busiest = backend.last_machine.stats.busiest_links(3)
         assert len(busiest) <= 3
         assert all(count >= 1 for _, count in busiest)

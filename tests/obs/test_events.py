@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import run_sort, run_steps
+from repro.backends.mesh import MeshBackend
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import default_step_cap, run_fixed_steps, run_until_sorted
-from repro.core.reference import reference_sort
-from repro.mesh.machine import MeshMachine, mesh_sort
+from repro.mesh.machine import MeshMachine
 from repro.obs import (
     CompositeObserver,
     Observer,
@@ -39,7 +39,7 @@ class TestStepCounts:
     def test_engine_step_events_match_steps(self, name):
         grid = perm_grid(6)
         rec = RecordingObserver()
-        outcome = run_until_sorted(get_algorithm(name), grid, observer=rec)
+        outcome = run_sort("vectorized", get_algorithm(name), grid, observer=rec)
         t_f = outcome.steps_scalar()
         assert rec.step_times == list(range(1, t_f + 1))
         assert len(rec.run_starts) == len(rec.run_ends) == 1
@@ -53,9 +53,9 @@ class TestStepCounts:
     def test_reference_step_events_match_steps(self, name):
         grid = perm_grid(6)
         rec = RecordingObserver()
-        t_f, _ = reference_sort(
-            get_algorithm(name), grid, max_steps=default_step_cap(6), observer=rec
-        )
+        t_f = run_sort(
+            "reference", get_algorithm(name), grid, raise_on_cap=True, observer=rec
+        ).steps_scalar()
         assert rec.step_times == list(range(1, t_f + 1))
         assert rec.run_starts[0].executor == "reference"
         assert rec.run_ends[0].completed is True
@@ -64,9 +64,9 @@ class TestStepCounts:
     def test_mesh_step_events_match_steps(self, name):
         grid = perm_grid(6)
         rec = RecordingObserver()
-        t_f, _ = mesh_sort(
-            get_algorithm(name), grid, max_steps=default_step_cap(6), observer=rec
-        )
+        t_f = run_sort(
+            "mesh", get_algorithm(name), grid, raise_on_cap=True, observer=rec
+        ).steps_scalar()
         assert rec.step_times == list(range(1, t_f + 1))
         assert rec.run_starts[0].executor == "mesh"
 
@@ -74,9 +74,9 @@ class TestStepCounts:
         grid = perm_grid(6, seed=3)
         schedule = get_algorithm("snake_1")
         recs = [RecordingObserver() for _ in range(3)]
-        run_until_sorted(schedule, grid, observer=recs[0])
-        reference_sort(schedule, grid, max_steps=default_step_cap(6), observer=recs[1])
-        mesh_sort(schedule, grid, max_steps=default_step_cap(6), observer=recs[2])
+        run_sort("vectorized", schedule, grid, observer=recs[0])
+        run_sort("reference", schedule, grid, observer=recs[1])
+        run_sort("mesh", schedule, grid, observer=recs[2])
         times = {tuple(rec.step_times) for rec in recs}
         assert len(times) == 1
         # Per-step swap counts agree wherever both executors report them.
@@ -99,7 +99,7 @@ class TestStepCounts:
     def test_fixed_steps_events(self):
         grid = perm_grid(6)
         rec = RecordingObserver()
-        run_fixed_steps(get_algorithm("snake_1"), grid, 10, observer=rec)
+        run_steps("vectorized", get_algorithm("snake_1"), grid, 10, observer=rec)
         assert rec.step_times == list(range(1, 11))
         assert rec.run_ends[0].steps == 10
 
@@ -107,9 +107,10 @@ class TestStepCounts:
         grid = perm_grid(6, seed=11)
         schedule = get_algorithm("row_major_row_first")
         rec = RecordingObserver()
-        run_until_sorted(schedule, grid, observer=rec)
-        _, machine = mesh_sort(schedule, grid, max_steps=default_step_cap(6))
-        assert sum(ev.swaps for ev in rec.steps) == machine.stats.total_swaps()
+        run_sort("vectorized", schedule, grid, observer=rec)
+        backend = MeshBackend()
+        run_sort(backend, schedule, grid)
+        assert sum(ev.swaps for ev in rec.steps) == backend.last_machine.stats.total_swaps()
 
 
 class _Boom(Exception):
@@ -132,8 +133,8 @@ class TestRaisingObserver:
         grid = perm_grid(6)
         original = grid.copy()
         with pytest.raises(_Boom):
-            run_until_sorted(
-                get_algorithm("snake_1"), grid, observer=RaisingObserver(3)
+            run_sort(
+                "vectorized", get_algorithm("snake_1"), grid, observer=RaisingObserver(3)
             )
         np.testing.assert_array_equal(grid, original)
 
@@ -169,15 +170,15 @@ class TestAmbientContext:
         rec = RecordingObserver()
         with use_observer(rec):
             assert get_active_observer() is rec
-            run_until_sorted(get_algorithm("snake_1"), perm_grid(4))
+            run_sort("vectorized", get_algorithm("snake_1"), perm_grid(4))
         assert get_active_observer() is None
         assert rec.steps and rec.run_ends
 
     def test_explicit_beats_ambient(self):
         ambient, explicit = RecordingObserver(), RecordingObserver()
         with use_observer(ambient):
-            run_until_sorted(
-                get_algorithm("snake_1"), perm_grid(4), observer=explicit
+            run_sort(
+                "vectorized", get_algorithm("snake_1"), perm_grid(4), observer=explicit
             )
         assert not ambient.steps
         assert explicit.steps
@@ -193,8 +194,8 @@ class TestAmbientContext:
 class TestComposite:
     def test_fan_out(self):
         a, b = RecordingObserver(), RecordingObserver()
-        run_until_sorted(
-            get_algorithm("snake_1"),
+        run_sort(
+            "vectorized", get_algorithm("snake_1"),
             perm_grid(4),
             observer=CompositeObserver([a, b]),
         )
@@ -205,7 +206,7 @@ class TestComposite:
 class TestRecordingObserver:
     def test_copy_grids_snapshots(self):
         rec = RecordingObserver(copy_grids=True)
-        run_until_sorted(get_algorithm("snake_1"), perm_grid(4), observer=rec)
+        run_sort("vectorized", get_algorithm("snake_1"), perm_grid(4), observer=rec)
         # Without copying, every event would alias the final buffer.
         first, last = rec.steps[0].grid, rec.steps[-1].grid
         assert not np.array_equal(first, last)

@@ -6,8 +6,8 @@ import io
 
 import numpy as np
 
+from repro.backends import run_sort
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import run_until_sorted
 from repro.obs import ProgressPrinter
 from repro.obs.events import CampaignEnd, CampaignStart, ShardEnd
 
@@ -45,7 +45,7 @@ class TestRunLines:
     def test_engine_run_produces_output(self):
         stream = io.StringIO()
         printer = ProgressPrinter(stream)
-        run_until_sorted(get_algorithm("snake_1"), perm_grid(6), observer=printer)
+        run_sort("vectorized", get_algorithm("snake_1"), perm_grid(6), observer=printer)
         out = stream.getvalue()
         assert "run 1" in out
         assert printer.summary().startswith("1 runs")

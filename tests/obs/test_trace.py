@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import shlex
 
 import numpy as np
 import pytest
 
+from repro.backends import run_sort
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import run_until_sorted
 from repro.errors import DimensionError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_experiment
@@ -46,8 +47,8 @@ class TestGridDigest:
 class TestJsonlSink:
     def run_traced(self, path, seed=7):
         with JsonlTraceSink(path) as sink:
-            run_until_sorted(
-                get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
+            run_sort(
+                "vectorized", get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
             )
         return read_trace(path)
 
@@ -99,8 +100,8 @@ class TestJsonlSink:
 class TestGzipTrace:
     def run_traced(self, path, seed=7):
         with JsonlTraceSink(path) as sink:
-            run_until_sorted(
-                get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
+            run_sort(
+                "vectorized", get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
             )
         return read_trace(path)
 
@@ -185,7 +186,7 @@ class TestManifest:
             kind="experiment", exp_id="E-T2", seed=99, scale="full"
         )
         assert replay_command(manifest) == (
-            "python -m repro.experiments E-T2 --scale full --seed 99"
+            "repro run E-T2 --scale full --seed 99"
         )
         with pytest.raises(DimensionError):
             replay_command(RunManifest(kind="run"))
@@ -203,3 +204,15 @@ class TestManifest:
             ExperimentConfig(scale=manifest.scale, seed=manifest.seed),
         )
         assert table_digest(replayed) == manifest.result_digest
+
+    def test_replay_command_runs_through_front_door(self, tmp_path, capsys):
+        """The replay string is a working ``repro`` command line."""
+        from repro.cli import main
+
+        assert main(["run", "E-C1", "--seed", "4242", "--trace", str(tmp_path / "a")]) == 0
+        original = load_manifest(tmp_path / "a" / "E-C1" / "manifest.json")
+        program, *argv = shlex.split(replay_command(original))
+        assert program == "repro"
+        assert main([*argv, "--trace", str(tmp_path / "b")]) == 0
+        replayed = load_manifest(tmp_path / "b" / "E-C1" / "manifest.json")
+        assert replayed.result_digest == original.result_digest

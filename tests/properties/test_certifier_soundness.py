@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.semantics import certify_sortedness
-from repro.core.engine import run_until_sorted
+from repro.backends import run_sort
 from repro.randomness import random_permutation_grid
 from repro.schedules import available_families, build_schedule, get_family
 from repro.verify import differential_run
@@ -39,7 +39,7 @@ def test_certified_schedules_sort_within_the_certified_bound(pair, seed):
     cert = certify_sortedness(schedule, side, side)  # cached across examples
     assert cert.certified
     grid = random_permutation_grid(side, rng=seed)
-    outcome = run_until_sorted(schedule, grid)
+    outcome = run_sort("vectorized", schedule, grid)
     steps = outcome.steps_scalar()
     assert 0 <= steps <= cert.step_bound, (name, side, steps, cert.step_bound)
 

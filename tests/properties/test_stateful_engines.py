@@ -14,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.engine import CompiledSchedule
+from repro.backends import CompiledSchedule
 from repro.core.reference import ReferenceMachine
 from repro.core.schedule import FORWARD, REVERSE, LineOp, Schedule, Step, WrapOp
 from repro.randomness import random_permutation_grid

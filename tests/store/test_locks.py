@@ -201,6 +201,86 @@ class TestStaleReclaim:
         assert len(winners) == 1
         winners[0].release()
 
+    @pytest.mark.parametrize("owner", ["dead-onhost", "silent-remote"])
+    def test_break_never_takes_a_lock_created_after_judging(self, tmp_path, owner):
+        """Deterministic form of the break race: A breaks the stale lock and
+        acquires while B sits between judging it stale and breaking it.
+        B must not break A's fresh lock."""
+        import socket
+
+        path = tmp_path / "x.lock"
+        if owner == "dead-onhost":
+            _write_foreign_lock(path, host=socket.gethostname(), pid=_dead_pid())
+            a, b = FileLock(path), FileLock(path)
+        else:
+            _write_foreign_lock(path, host="some-other-host")
+            a, b = FileLock(path, stale_after=0.02), FileLock(path, stale_after=0.02)
+            assert not a.try_acquire() and not b.try_acquire()  # start the clocks
+            time.sleep(0.05)
+        steal = b._steal
+
+        def steal_after_a_wins(*args):
+            assert a.try_acquire()
+            return steal(*args)
+
+        b._steal = steal_after_a_wins
+        assert not b.try_acquire()
+        assert a.held and not b.held
+        assert a.read_owner()["pid"] == os.getpid()
+        assert not (tmp_path / "x.lock.break").exists()
+        a.release()
+        assert b.try_acquire()  # the lock is free again: B just takes it
+        b.release()
+
+    def test_break_race_stress_dead_owner(self, tmp_path):
+        """More contenders than cores and a tiny switch interval, over many
+        rounds: every break of a dead owner's lock has exactly one winner."""
+        import socket
+        import sys
+
+        path = tmp_path / "x.lock"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                _write_foreign_lock(path, host=socket.gethostname(), pid=_dead_pid())
+                locks = [FileLock(path) for _ in range(16)]
+                barrier = threading.Barrier(len(locks))
+                winners = []
+
+                def contend(lock):
+                    barrier.wait()
+                    if lock.try_acquire():
+                        winners.append(lock)
+
+                threads = [threading.Thread(target=contend, args=(lk,)) for lk in locks]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(winners) == 1
+                winners[0].release()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_leftover_break_name_ages_out(self, tmp_path):
+        """A contender that died mid-break leaves ``<name>.break`` behind;
+        it is observed like a lock body and cleared after stale_after."""
+        path = tmp_path / "x.lock"
+        _write_foreign_lock(path, host="some-other-host")
+        os.link(path, tmp_path / "x.lock.break")
+        lock = FileLock(path, stale_after=0.03)
+        assert not lock.try_acquire()  # watching the break name
+        time.sleep(0.06)
+        assert not lock.try_acquire()  # break name cleared
+        assert not (tmp_path / "x.lock.break").exists()
+        assert not lock.try_acquire()  # now watching the stale lock
+        time.sleep(0.06)
+        assert lock.try_acquire()
+        assert lock.reclaimed
+        lock.release()
+
     def test_torn_lock_body_ages_out_by_mtime(self, tmp_path):
         path = tmp_path / "x.lock"
         path.write_text("{not json", encoding="utf-8")

@@ -29,7 +29,7 @@ def test_example_runs(script, args):
     path = EXAMPLES / script
     assert path.exists(), f"missing example {script}"
     result = subprocess.run(
-        [sys.executable, str(path), *args],
+        [sys.executable, "-W", "error::DeprecationWarning", str(path), *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -43,6 +43,8 @@ def test_trace_report_traced_run(tmp_path):
     result = subprocess.run(
         [
             sys.executable,
+            "-W",
+            "error::DeprecationWarning",
             str(EXAMPLES / "trace_report.py"),
             "snake_2", "6", "--trace", str(tmp_path),
         ],
@@ -62,7 +64,7 @@ def test_trace_report_traced_run(tmp_path):
 
 def test_experiments_cli_list():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "--list"],
+        [sys.executable, "-m", "repro.cli", "run", "--list"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -73,7 +75,7 @@ def test_experiments_cli_list():
 
 def test_experiments_cli_runs_one(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "E-C1", "--csv", str(tmp_path)],
+        [sys.executable, "-m", "repro.cli", "run", "E-C1", "--csv", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -85,7 +87,7 @@ def test_experiments_cli_runs_one(tmp_path):
 
 def test_experiments_cli_rejects_no_args():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments"],
+        [sys.executable, "-m", "repro.cli", "run"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -96,7 +98,7 @@ def test_experiments_cli_rejects_no_args():
 def test_experiments_cli_summary(tmp_path):
     out = tmp_path / "summary.md"
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "--summary", str(out), "E-C1"],
+        [sys.executable, "-m", "repro.cli", "run", "--summary", str(out), "E-C1"],
         capture_output=True,
         text=True,
         timeout=120,

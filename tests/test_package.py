@@ -18,9 +18,9 @@ from repro.randomness import (
 )
 
 SUBMODULES = [
+    "repro.backends",
     "repro.core",
     "repro.core.algorithms",
-    "repro.core.engine",
     "repro.core.orders",
     "repro.core.phases",
     "repro.core.reference",
@@ -30,7 +30,7 @@ SUBMODULES = [
     "repro.mesh",
     "repro.zeroone",
     "repro.theory",
-    "repro.baselines",
+    "repro.schedules",
     "repro.experiments",
     "repro.viz",
 ]

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import iter_run, run_steps
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import iter_steps, run_fixed_steps
 from repro.randomness import random_zero_one_grid
 from repro.zeroone.invariants import (
     check_lemma1_column_sort,
@@ -36,7 +36,7 @@ class TestRowMajorLemmas:
             0: check_lemma1_column_sort,
         }
         prev = grid
-        for t, snap in iter_steps(get_algorithm("row_major_row_first"), grid, 4 * side):
+        for t, snap in iter_run("vectorized", get_algorithm("row_major_row_first"), grid, 4 * side):
             assert checkers[t % 4](prev, snap) == []
             prev = snap
 
@@ -53,7 +53,7 @@ class TestRowMajorLemmas:
 
     def test_lemma2_passes_on_actual_step(self):
         before = np.array([[1, 0], [1, 1]])
-        after = run_fixed_steps(get_algorithm("row_major_row_first"), before, 1)
+        after = run_steps("vectorized", get_algorithm("row_major_row_first"), before, 1)
         assert check_lemma2_odd_row_sort(before, after) == []
 
     def test_lemma3_boundary_slack(self):
@@ -63,8 +63,8 @@ class TestRowMajorLemmas:
         grid = np.ones((side, side), dtype=np.int8)
         grid[0, 0] = 0  # the zero at (1,1) is not wrapped anywhere
         # run steps 1..3 so step 3 is the even row sort + wrap
-        prev = run_fixed_steps(get_algorithm("row_major_row_first"), grid, 2)
-        after = run_fixed_steps(get_algorithm("row_major_row_first"), grid, 3)
+        prev = run_steps("vectorized", get_algorithm("row_major_row_first"), grid, 2)
+        after = run_steps("vectorized", get_algorithm("row_major_row_first"), grid, 3)
         assert check_lemma3_even_row_sort(prev, after) == []
 
 
@@ -73,20 +73,20 @@ class TestSnakeChains:
     @settings(max_examples=20)
     def test_lemmas_5_to_8(self, seed, side):
         grid = _zero_one(side, seed)
-        trace = [s for _, s in iter_steps(get_algorithm("snake_1"), grid, 8 * side)]
+        trace = [s for _, s in iter_run("vectorized", get_algorithm("snake_1"), grid, 8 * side)]
         assert check_lemmas_5_to_8(trace) == []
 
     @given(seed=st.integers(0, 2**31), side=st.sampled_from([4, 6, 8]))
     @settings(max_examples=20)
     def test_lemma_10(self, seed, side):
         grid = _zero_one(side, seed)
-        trace = [s for _, s in iter_steps(get_algorithm("snake_2"), grid, 8 * side)]
+        trace = [s for _, s in iter_run("vectorized", get_algorithm("snake_2"), grid, 8 * side)]
         assert check_lemma10(trace) == []
 
     def test_z_sequence_loses_at_most_one_per_cycle(self, rng):
         """Theorem 6's engine: Z1(i+1) >= Z1(i) - 1."""
         grid = random_zero_one_grid(8, rng=rng)
-        trace = [s for _, s in iter_steps(get_algorithm("snake_1"), grid, 64)]
+        trace = [s for _, s in iter_run("vectorized", get_algorithm("snake_1"), grid, 64)]
         seq = z_sequence(trace)
         z1_values = seq[0::4]
         for a, b in zip(z1_values, z1_values[1:]):
@@ -94,7 +94,7 @@ class TestSnakeChains:
 
     def test_y_sequence_loses_at_most_one_per_cycle(self, rng):
         grid = random_zero_one_grid(8, rng=rng)
-        trace = [s for _, s in iter_steps(get_algorithm("snake_2"), grid, 64)]
+        trace = [s for _, s in iter_run("vectorized", get_algorithm("snake_2"), grid, 64)]
         seq = y_sequence(trace)
         y1_values = seq[0::4]
         for a, b in zip(y1_values, y1_values[1:]):
@@ -117,12 +117,12 @@ class TestAppendixOddSideChains:
     @settings(max_examples=15)
     def test_snake1_odd_side_z_chain(self, seed, side):
         grid = _zero_one(side, seed)
-        trace = [s for _, s in iter_steps(get_algorithm("snake_1"), grid, 8 * side)]
+        trace = [s for _, s in iter_run("vectorized", get_algorithm("snake_1"), grid, 8 * side)]
         assert check_lemmas_5_to_8(trace) == []
 
     @given(seed=st.integers(0, 2**31), side=st.sampled_from([5, 7, 9]))
     @settings(max_examples=15)
     def test_snake2_odd_side_z_chain(self, seed, side):
         grid = _zero_one(side, seed)
-        trace = [s for _, s in iter_steps(get_algorithm("snake_2"), grid, 8 * side)]
+        trace = [s for _, s in iter_run("vectorized", get_algorithm("snake_2"), grid, 8 * side)]
         assert check_lemmas_5_to_8(trace) == []
