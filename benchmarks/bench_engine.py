@@ -4,8 +4,7 @@ These are true microkernel benchmarks (pytest-benchmark repeats them):
 
 * per-algorithm step throughput of the vectorized engine;
 * ablation: batched execution vs per-trial loops;
-* ablation: vectorized engine vs the pure-Python reference machine;
-* ablation: completion-check cadence (every step vs every cycle).
+* ablation: vectorized engine vs the pure-Python reference machine.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import CompiledSchedule, run_sort
+from repro.backends import CompiledSchedule
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
 from repro.core.reference import ReferenceMachine
 from repro.randomness import random_permutation_grid
@@ -88,40 +87,6 @@ def bench_ablation_numpy_engine_same_size(benchmark):
         work = grid.copy()
         compiled.run(work, STEPS)
         return work
-
-    benchmark(run)
-
-
-def bench_ablation_check_every_step(benchmark):
-    """run_sort with the step-exact completion check (the default,
-    needed for the paper's step-exact t_f)."""
-    grid = random_permutation_grid(16, batch=16, rng=1)
-
-    def run():
-        return run_sort("vectorized", get_algorithm("snake_1"), grid)
-
-    benchmark(run)
-
-
-def bench_ablation_check_every_cycle(benchmark):
-    """Manual variant checking sortedness only once per 4-step cycle —
-    cheaper per step but only cycle-granular t_f."""
-    from repro.core.orders import target_grid
-
-    grids = random_permutation_grid(16, batch=16, rng=1)
-    compiled = CompiledSchedule(get_algorithm("snake_1"), 16)
-    target = target_grid(grids, 16, "snake")
-
-    def run():
-        work = grids.copy()
-        t = 0
-        done = np.zeros(grids.shape[0], dtype=bool)
-        while t < 4096 and not done.all():
-            for _ in range(4):
-                t += 1
-                compiled.apply_step(work, t)
-            done = np.all(work == target, axis=(-2, -1))
-        return t
 
     benchmark(run)
 

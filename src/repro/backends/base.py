@@ -162,6 +162,9 @@ class ExecutorRun(ABC):
     cols: int
     batch_shape: tuple[int, ...]
     cycle_len: int
+    #: Whether the run supports the driver's strided fast path:
+    #: :meth:`snapshot`, :meth:`replay_run` and :meth:`compact`.
+    compactable: ClassVar[bool] = False
 
     @abstractmethod
     def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
@@ -190,8 +193,24 @@ class ExecutorRun(ABC):
         return self.materialize()
 
     def final(self) -> np.ndarray:
-        """Grid state handed to :class:`SortOutcome` when the run ends."""
+        """Grid state handed to :class:`SortOutcome` when the run ends (the
+        full batch, also after :meth:`compact`)."""
         return self.materialize()
+
+    def snapshot(self) -> np.ndarray:
+        """A copy of the working batch, to replay a stride from."""
+        raise NotImplementedError
+
+    def replay_run(self, snapshot: np.ndarray, rows: np.ndarray) -> "ExecutorRun":
+        """A run over the rows ``rows`` (flat indices into the working batch)
+        of a :meth:`snapshot`, for the driver to replay step by step."""
+        raise NotImplementedError
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Drop the working grids where the flat mask ``keep`` is false;
+        ``batch_shape`` becomes ``(keep.sum(),)``.  Only sorted grids may be
+        dropped: :meth:`final` restores them from their targets."""
+        raise NotImplementedError
 
     def iter_grid(self, copy: bool) -> np.ndarray:
         """Grid yielded by the step iterator (an independent snapshot when

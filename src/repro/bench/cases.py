@@ -13,6 +13,10 @@ Each :class:`BenchCase` names one operation worth tracking over time:
   schedule family (paper algorithms, shearsort, the linear odd-even sort,
   a pinned random network), each on its own topology's default backend
   (side 16 in the smoke suite; 16/32/64 in the full suite);
+* ``sample_snake_1_side32_batch64`` — in-process ``sample()`` of 64
+  random permutations at side 32 in one batch: the batched sort loop with
+  once-per-cycle detection, batch compaction and one shared target
+  (every ``sort_*`` case times a single grid);
 * ``service_cache_hit`` / ``service_cache_miss`` — the content-addressed
   result store through ``sample(..., store=...)``: a warm hit (pure
   lookup + decode, the zero-kernel-steps path) vs a cold miss (lookup +
@@ -48,6 +52,8 @@ _TRIALS = 48  # campaign trials per timed body
 _COMPILE_SIDE = 32  # mesh side for the compile-cache cases
 _CERTIFY_SIDE = 4  # mesh side for the 0-1 certifier cases (exhaustive limit)
 _NETWORK_STEPS = 128  # pinned random-network cycle length (side-independent)
+_BATCH_SIDE = 32  # mesh side of the batched sample case
+_BATCH_TRIALS = 64  # permutations sorted in one batch by the batched sample case
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,20 @@ def _body_sort(state) -> Any:
 
     backend, schedule, grid = state
     return run_sort(backend, schedule, grid)
+
+
+def _setup_batched_sample() -> Any:
+    from repro.backends.compile import compiled_schedule
+    from repro.core.runner import resolve_algorithm
+
+    compiled_schedule(resolve_algorithm("snake_1"), _BATCH_SIDE)  # time the loop
+    return {"side": _BATCH_SIDE, "trials": _BATCH_TRIALS, "seed": _SEED}
+
+
+def _body_batched_sample(kwargs) -> Any:
+    from repro.experiments import sample
+
+    return sample("snake_1", **kwargs)
 
 
 def _setup_service_store(*, populate: bool) -> Callable[[], Any]:
@@ -316,6 +336,17 @@ def build_cases(suite: str = "smoke") -> list[BenchCase]:
                     meta={"algorithm": algorithm, "side": side},
                 )
             )
+    cases.append(
+        BenchCase(
+            name=f"sample_snake_1_side{_BATCH_SIDE}_batch{_BATCH_TRIALS}",
+            group="sort",
+            setup=_setup_batched_sample,
+            body=_body_batched_sample,
+            repeats=3,
+            meta={"algorithm": "snake_1", "side": _BATCH_SIDE,
+                  "trials": _BATCH_TRIALS, "mode": "in-process"},
+        )
+    )
     cases.append(
         BenchCase(
             name="service_cache_hit",

@@ -24,6 +24,7 @@ __all__ = [
     "seed_provenance",
     "shard_counts",
     "shard_seed_sequence",
+    "permutation_dtype",
     "random_permutation_grid",
     "random_zero_one_grid",
     "random_permutation_mesh",
@@ -144,6 +145,24 @@ def _check_mesh_shape(shape: tuple[int, int]) -> tuple[int, int]:
     return rows, cols
 
 
+def permutation_dtype(n_cells: int) -> np.dtype:
+    """The smallest signed integer type that holds ``0 .. n_cells - 1``.
+
+    ``int8`` up to 128 cells, ``int16`` up to 32 768 (square side 181),
+    then ``int32`` and ``int64``.  The draw is the same in any of them,
+    because ``Generator.permutation`` yields the same order for any integer
+    dtype of its base array, and the sort kernels only compare cells, so a
+    narrow draw sorts in the same number of steps.  The samplers draw
+    ``int64`` (docs/PERFORMANCE.md §2 says why).
+    """
+    if n_cells < 1:
+        raise DimensionError(f"cell count must be positive, got {n_cells}")
+    for dtype in (np.int8, np.int16, np.int32):
+        if n_cells - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def random_permutation_mesh(
     shape: tuple[int, int],
     *,
@@ -158,11 +177,19 @@ def random_permutation_mesh(
     ``(rows, cols)`` when ``batch`` is None, else ``(*batch, rows, cols)``.
     The per-trial RNG consumption is one ``Generator.permutation`` call,
     identical to the square-grid function, so square draws are
-    byte-identical between the two.
+    byte-identical between the two.  An integer ``dtype`` too narrow for
+    ``rows*cols - 1`` raises :class:`~repro.errors.DimensionError` instead
+    of wrapping (see :func:`permutation_dtype`).
     """
     rows, cols = _check_mesh_shape(shape)
-    gen = as_generator(rng)
     n_cells = rows * cols
+    if np.issubdtype(dtype, np.integer) and n_cells - 1 > np.iinfo(dtype).max:
+        raise DimensionError(
+            f"dtype {np.dtype(dtype).name} cannot hold the values 0..{n_cells - 1} "
+            f"of a {n_cells}-cell permutation; use permutation_dtype({n_cells}) "
+            f"({permutation_dtype(n_cells).name}) or wider"
+        )
+    gen = as_generator(rng)
     if batch is None:
         return gen.permutation(n_cells).reshape(rows, cols).astype(dtype)
     bshape = (batch,) if isinstance(batch, int) else tuple(batch)

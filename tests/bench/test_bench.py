@@ -85,6 +85,18 @@ class TestRunner:
         entry = run_case(case, repeats=1)
         assert {"run", "compile", "kernel"} <= entry["spans"].keys()
 
+    def test_batched_sample_case_runs_the_strided_loop(self):
+        (case,) = [
+            c for c in build_cases("smoke") if c.name == "sample_snake_1_side32_batch64"
+        ]
+        assert case.group == "sort"
+        entry = run_case(case, repeats=1)
+        spans = entry["spans"]
+        assert {"kernel", "step", "detect", "replay"} <= spans.keys()
+        # One batched run; every stride is stepped, then checked once.
+        assert spans["run"]["count"] == 1
+        assert spans["detect"]["count"] == spans["step"]["count"]
+
     def test_write_and_load_roundtrip(self, tmp_path):
         report = tiny_report()
         path = tmp_path / "deep" / "BENCH_test.json"

@@ -98,6 +98,33 @@ class TestAmbientInstall:
         assert totals["run"]["count"] == 1
         assert totals["run"]["wall"] >= totals["kernel"]["wall"]
 
+    def test_kernel_nests_step_detect_and_replay_once_per_stride(self):
+        prof = SpanProfiler()
+        schedule = resolve_algorithm("snake_1")
+        grids = np.stack([perm_grid(6, seed) for seed in range(8)])
+        with use_profiler(prof):
+            outcome = run_sort("vectorized", schedule, grids)
+        kernel = prof.roots[0].child("kernel")
+        assert {c.name for c in kernel.children} == {"step", "detect", "replay"}
+        step, detect = kernel.child("step"), kernel.child("detect")
+        slowest = int(outcome.steps.max())
+        # One step/detect span per 4-step stride, not one per step.
+        assert step.count == detect.count == -(-slowest // 4)
+        assert 1 <= kernel.child("replay").count <= step.count
+        assert kernel.wall >= step.wall + detect.wall
+
+    def test_observed_run_opens_spans_per_step(self):
+        from repro.obs.events import Observer
+
+        prof = SpanProfiler()
+        schedule = resolve_algorithm("snake_1")
+        with use_profiler(prof):
+            outcome = run_sort("vectorized", schedule, perm_grid(6), observer=Observer())
+        kernel = prof.roots[0].child("kernel")
+        assert kernel.child("step").count == int(outcome.steps)
+        assert kernel.child("detect").count == int(outcome.steps)
+        assert kernel.child("replay") is None
+
     def test_uninstrumented_run_untouched_without_profiler(self):
         schedule = resolve_algorithm("snake_1")
         outcome = run_sort("vectorized", schedule, perm_grid(6))
