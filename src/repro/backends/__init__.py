@@ -14,6 +14,7 @@ from repro.backends.base import (
     SortOutcome,
     StepStats,
     step_cap,
+    wants_step_events,
     wants_swap_detail,
 )
 from repro.backends.compile import (
@@ -37,6 +38,7 @@ __all__ = [
     "StepStats",
     "step_cap",
     "wants_swap_detail",
+    "wants_step_events",
     "CacheInfo",
     "CompiledSchedule",
     "compiled_schedule",

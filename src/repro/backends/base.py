@@ -16,8 +16,9 @@ This module holds the pieces the rest of the layer builds on:
   carrying ``(rows, cols)`` so square and rectangular meshes share it;
 * :func:`step_cap` — the one step-cap policy (square and rectangular);
 * :class:`ExecutorRun` / :class:`Backend` — the backend protocol;
-* :func:`wants_swap_detail` — the observer capability probe behind the
-  opt-in per-step swap counting.
+* :func:`wants_swap_detail` / :func:`wants_step_events` — the observer
+  capability probes behind opt-in per-step swap counting and opt-out
+  per-step events.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "ExecutorRun",
     "Backend",
     "wants_swap_detail",
+    "wants_step_events",
 ]
 
 
@@ -261,3 +263,15 @@ def wants_swap_detail(observer: object) -> bool:
     does not by default).  Composite observers opt in if any child does.
     """
     return bool(getattr(observer, "wants_swap_detail", False))
+
+
+def wants_step_events(observer: object) -> bool:
+    """Whether an observer consumes per-step events.
+
+    True unless the observer sets ``wants_step_events = False`` (a default
+    :class:`~repro.obs.metrics.MetricsObserver` does).  When it is False,
+    :func:`~repro.backends.driver.run_sort` keeps array backends on the fast
+    strided loop and reports the step count once, in ``RunEnd.bulk_steps``.
+    Composite observers want step events if any child does.
+    """
+    return bool(getattr(observer, "wants_step_events", True))

@@ -19,6 +19,11 @@ the driver asks for them only when the resolved observer declares
 ``wants_swap_detail`` (see :func:`repro.backends.base.wants_swap_detail`).
 Cell-level backends count swaps as a free by-product and always report
 them.
+
+Per-step events themselves are opt-out: an observer whose
+``wants_step_events`` is False (a default :class:`~repro.obs.MetricsObserver`)
+leaves :func:`run_sort` on its fast strided loop and gets the step count
+in bulk, as ``RunEnd.bulk_steps``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.backends.base import (
     ExecutorRun,
     SortOutcome,
     resolve_step_cap,
+    wants_step_events,
     wants_swap_detail,
 )
 from repro.backends.registry import get_backend
@@ -203,7 +209,8 @@ def run_sort(
     observer:
         Optional :class:`~repro.obs.events.Observer`; falls back to the
         ambient observer installed with :func:`repro.obs.use_observer`.
-        With no observer resolved the loop is the uninstrumented fast path.
+        The loop is the uninstrumented fast path when no observer is
+        resolved or the resolved one's ``wants_step_events`` is False.
 
     Notes
     -----
@@ -213,12 +220,16 @@ def run_sort(
     the paper's t_f, the step at which "the sorting algorithm is complete".
 
     The fixed-point property is also what makes the fast path exact.  With
-    no observer, on array backends, the loop runs strides of
-    ``min(cycle_len, MAX_STRIDE)`` steps and checks completion once per
-    stride.  Grids that sorted inside a stride are replayed step by step
-    from the stride's snapshot to find their exact t_f, then dropped from
-    the working batch; ``final`` restores them from their targets.  With
-    an observer attached, or on the cell-level oracles, the stride is one
+    no observer, or one whose ``wants_step_events`` is False, on array
+    backends, the loop runs strides of ``min(cycle_len, MAX_STRIDE)`` steps
+    and checks completion once per stride.  Grids that sorted inside a
+    stride are replayed step by step from the stride's snapshot to find
+    their exact t_f, then dropped from the working batch; ``final``
+    restores them from their targets.  Such an observer still sees
+    ``RunStart`` and ``RunEnd``, whose ``bulk_steps`` is the step count the
+    stride-1 loop would have emitted one event at a time: the slowest
+    grid's t_f, or ``max_steps`` when the cap was hit.  With an observer
+    that wants step events, or on the cell-level oracles, the stride is one
     step and nothing is dropped, so every step event sees the full batch.
     """
     be = get_backend(backend)
@@ -231,7 +242,9 @@ def run_sort(
             max_steps = resolve_step_cap(schedule, run.rows, run.cols)
         obs = resolve_observer(observer)
         want_swaps = be.counts_swaps or (obs is not None and wants_swap_detail(obs))
-        fast = obs is None and run.compactable
+        fast = run.compactable and (obs is None or not wants_step_events(obs))
+        # The fast path emits no per-step events, whatever the observer.
+        step_obs = None if fast else obs
         stride = min(run.cycle_len, MAX_STRIDE) if fast else 1
 
         batch_shape = run.batch_shape
@@ -253,7 +266,7 @@ def run_sort(
                 snap = run.snapshot() if t - t0 > 1 else None
                 with span("step"):
                     for u in range(t0 + 1, t + 1):
-                        _step_and_emit(run, u, obs, want_swaps)
+                        _step_and_emit(run, u, step_obs, want_swaps)
                 with span("detect"):
                     newly = np.asarray(run.done_mask()).reshape(-1) & (steps[working] < 0)
                 if not np.any(newly):
@@ -268,11 +281,15 @@ def run_sort(
                     working = _drop_sorted(run, working, steps)
     done = steps >= 0
     if obs is not None:
+        bulk_steps = None
+        if fast:
+            bulk_steps = int(steps.max(initial=0)) if done.all() else max_steps
         emit_run_end(
             obs,
             steps=_scalarize(steps.reshape(batch_shape), be.supports_batch),
             completed=_scalarize(done.reshape(batch_shape), be.supports_batch),
             wall_time=watch.elapsed,
+            bulk_steps=bulk_steps,
         )
 
     if raise_on_cap and not np.all(done):

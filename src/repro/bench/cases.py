@@ -21,6 +21,10 @@ Each :class:`BenchCase` names one operation worth tracking over time:
   result store through ``sample(..., store=...)``: a warm hit (pure
   lookup + decode, the zero-kernel-steps path) vs a cold miss (lookup +
   campaign + put, the store emptied before every timed iteration);
+* ``queue_claim_backlog300`` — one ``JobQueue.claim_pending()`` poll
+  over a queue holding 300 finished jobs and nothing pending, after a
+  warm-up poll: pins the O(pending) claim cost (a poll that re-parses the
+  backlog is ~30x slower);
 * ``certify_cold`` / ``certify_cached`` — the 0-1 sortedness certifier on
   a side-4 schedule: a cold exhaustive model check (65 536 0-1 matrices
   through the comparator-IR interpreter) vs a pure content-addressed
@@ -54,6 +58,7 @@ _CERTIFY_SIDE = 4  # mesh side for the 0-1 certifier cases (exhaustive limit)
 _NETWORK_STEPS = 128  # pinned random-network cycle length (side-independent)
 _BATCH_SIDE = 32  # mesh side of the batched sample case
 _BATCH_TRIALS = 64  # permutations sorted in one batch by the batched sample case
+_QUEUE_BACKLOG = 300  # finished job documents behind the queue-claim case
 
 
 @dataclass(frozen=True)
@@ -220,6 +225,24 @@ def _body_service_miss(state) -> Any:
     return sample("snake_1", store=store, **kwargs)
 
 
+def _setup_queue_backlog() -> Any:
+    import tempfile
+
+    from repro.service import JobQueue
+
+    queue = JobQueue(tempfile.mkdtemp(prefix="repro-bench-queue-"))
+    for seed in range(_QUEUE_BACKLOG):
+        doc = queue.submit({"algorithm": "snake_1", "side": 8, "trials": 16,
+                            "seed": seed})
+        queue.update(doc["id"], state="done")
+    queue.claim_pending()  # warm-up: the first poll reads every document
+    return queue
+
+
+def _body_queue_claim(queue) -> Any:
+    return queue.claim_pending()
+
+
 def _setup_certify() -> Any:
     from repro.core.runner import resolve_algorithm
 
@@ -365,6 +388,16 @@ def build_cases(suite: str = "smoke") -> list[BenchCase]:
             body=_body_service_miss,
             repeats=3,
             meta={"trials": _TRIALS, "side": 8, "store": "local"},
+        )
+    )
+    cases.append(
+        BenchCase(
+            name=f"queue_claim_backlog{_QUEUE_BACKLOG}",
+            group="service",
+            setup=_setup_queue_backlog,
+            body=_body_queue_claim,
+            repeats=10,
+            meta={"done_jobs": _QUEUE_BACKLOG, "pending_jobs": 0},
         )
     )
     cases.append(

@@ -140,11 +140,17 @@ class RunEnd:
     ``steps`` mirrors :attr:`repro.backends.SortOutcome.steps` for
     sort-to-completion runs (batch-shaped; -1 where the cap was hit) and is
     the executed step count for fixed-step runs.
+
+    ``bulk_steps`` is set when the driver ran the steps without a
+    :class:`StepEvent` each (an observer with ``wants_step_events = False``
+    on an array backend): the number of step events the run would have
+    emitted.  ``None`` means every step was emitted as an event.
     """
 
     steps: Any = None
     completed: Any = None
     wall_time: float = 0.0
+    bulk_steps: int | None = None
 
 
 @dataclass(frozen=True)
@@ -266,9 +272,16 @@ class Observer:
     counts on backends where accounting them costs a full grid diff
     (cell-level backends report swaps regardless).  Observers that consume
     ``StepEvent.swaps`` should set it to True.
+
+    ``wants_step_events`` tells the driver whether the observer consumes
+    ``on_step`` / ``on_cycle`` at all.  When it is False, sort-to-completion
+    runs on array backends take the fast strided loop: the observer gets
+    ``RunStart`` and a ``RunEnd`` whose ``bulk_steps`` counts the steps it
+    was not shown.  Cell-level backends emit step events regardless.
     """
 
     wants_swap_detail = False
+    wants_step_events = True
 
     def on_run_start(self, event: RunStart) -> None:  # pragma: no cover - no-op
         pass
@@ -306,9 +319,15 @@ class CompositeObserver(Observer):
 
     @property
     def wants_swap_detail(self) -> bool:
-        return any(
-            getattr(obs, "wants_swap_detail", False) for obs in self.observers
-        )
+        from repro.backends.base import wants_swap_detail
+
+        return any(wants_swap_detail(obs) for obs in self.observers)
+
+    @property
+    def wants_step_events(self) -> bool:
+        from repro.backends.base import wants_step_events
+
+        return any(wants_step_events(obs) for obs in self.observers)
 
     def on_run_start(self, event: RunStart) -> None:
         for obs in self.observers:

@@ -402,12 +402,19 @@ class MetricsObserver(Observer):
     every step, so they are off by default there — run/step counts and
     wall-time stay cheap.  Pass ``swap_detail=True`` to opt into exact
     per-step swap metrics (cell-level backends report swaps either way).
+
+    Without ``swap_detail`` the observer also opts out of step events
+    (``wants_step_events = False``), so sort-to-completion runs on array
+    backends keep the driver's fast loop and ``repro_steps_total`` is
+    counted at ``RunEnd`` from ``bulk_steps``: the same total, added at
+    once.
     """
 
     def __init__(
         self, registry: MetricsRegistry | None = None, *, swap_detail: bool = False
     ):
         self.wants_swap_detail = bool(swap_detail)
+        self.wants_step_events = bool(swap_detail)
         self.registry = registry if registry is not None else MetricsRegistry()
         reg = self.registry
         self._runs = reg.counter("repro_runs_total", "executor runs observed")
@@ -509,6 +516,8 @@ class MetricsObserver(Observer):
 
     def on_run_end(self, event: RunEnd) -> None:
         self._run_seconds.observe(max(0.0, event.wall_time))
+        if event.bulk_steps:
+            self._steps.inc(event.bulk_steps)
         steps = event.steps
         if steps is None:
             return

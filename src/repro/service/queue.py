@@ -37,7 +37,13 @@ Multi-process protocol (N ``repro serve`` daemons sharing one queue):
   serve process.  Owners bump a logical-clock heartbeat while they work;
   a lease whose owner died (on-host pid probe) or whose heartbeat has
   sat unchanged for the staleness bound is **reclaimed** by the next
-  claimant.
+  claimant.  That covers ``running`` jobs too: a job whose serve process
+  died mid-run is leased again and served by a peer.
+* **Polls cost O(pending)**: ``done`` and ``failed`` are terminal (no
+  writer moves a job out of them), so each queue instance remembers the
+  ids it has seen in a terminal state and :meth:`pending` /
+  :meth:`claim_pending` parse only the other documents.  The memo lives
+  in memory only; a fresh instance reads every document once.
 * **Updates** are merge-atomic: :meth:`update` wraps its
   read-modify-write in a per-document lock under ``jobs/locks/``, so two
   concurrent writers interleave whole updates instead of losing fields.
@@ -92,6 +98,11 @@ _REQUEST_FIELDS = (
     "max_steps",
     "backend",
 )
+
+#: Job states no writer ever leaves (see the module docstring), and the
+#: states a claim may take a job from.
+_TERMINAL = ("done", "failed")
+_CLAIMABLE = ("pending", "running")
 
 #: Bound on id-allocation retries under contention; hitting it means
 #: thousands of submitters raced this one, which is a deployment bug.
@@ -177,7 +188,10 @@ class JobQueue:
         self.owner = owner
         # Lease locks are cached per job id: observation-based staleness
         # needs the SAME FileLock instance to watch a lease across polls.
+        # An entry is dropped once its job is terminal.
         self._lease_locks: dict[str, FileLock] = {}
+        # Ids seen in a terminal state: polls never parse them again.
+        self._terminal: set[str] = set()
 
     @property
     def jobs_dir(self) -> Path:
@@ -272,9 +286,9 @@ class JobQueue:
 
     def _candidate_id(self) -> str:
         highest = 0
-        for path in self.jobs_dir.glob("j*.json"):
+        for job_id in self._job_ids():
             try:
-                highest = max(highest, int(path.stem[1:]))
+                highest = max(highest, int(job_id[1:]))
             except ValueError:
                 continue
         return f"j{highest + 1:06d}"
@@ -297,6 +311,7 @@ class JobQueue:
             doc = self.load(job_id)
             doc.update(fields)
             self._write(doc)
+        self._note_state(doc)
         return doc
 
     # ------------------------------------------------------------------
@@ -339,28 +354,41 @@ class JobQueue:
         limit: int | None = None,
         stale_after: float | None = None,
     ) -> list[tuple[dict[str, Any], JobLease]]:
-        """Lease up to ``limit`` pending jobs, in submission order.
+        """Lease up to ``limit`` claimable jobs, in submission order.
 
-        Concurrent serve processes calling this partition the pending set:
-        each job's ``O_EXCL`` lease admits exactly one claimant.  Every
-        claimed document is re-read under the lease, so a job completed
-        between listing and claiming is skipped, not re-run.
+        Claimable means ``pending``, or ``running`` with a lease that
+        :meth:`claim` can take: one whose owner died or was observed
+        silent for ``stale_after`` seconds, or none at all.  A running
+        job's lease is flagged ``reclaimed``.  Concurrent serve processes calling this partition
+        the claimable set: each job's ``O_EXCL`` lease admits exactly one
+        claimant.  Every claimed document is re-read under the lease, so
+        a job completed between listing and claiming is skipped, not
+        re-run.
         """
         claimed: list[tuple[dict[str, Any], JobLease]] = []
-        for doc in self.pending():
+        for doc in self._live_docs():
             if limit is not None and len(claimed) >= limit:
                 break
-            lease = self.claim(doc["id"], stale_after=stale_after)
+            job_id = doc["id"]
+            own = self._lease_locks.get(job_id)
+            if doc["state"] == "running" and own is not None and own.held:
+                continue  # ours, still being served
+            lease = self.claim(job_id, stale_after=stale_after)
             if lease is None:
                 continue
             try:
-                current = self.load(doc["id"])
+                current = self.load(job_id)
             except ServiceError:
                 lease.release()
                 continue
-            if current["state"] != "pending":
+            self._note_state(current)
+            if current["state"] not in _CLAIMABLE:
                 lease.release()
                 continue
+            if current["state"] == "running":
+                # Holding the lease of a running job means its previous
+                # owner lost it: died, or was silent past the bound.
+                lease.reclaimed = True
             claimed.append((current, lease))
         return claimed
 
@@ -394,20 +422,55 @@ class JobQueue:
         reported as a ``state="quarantined"`` marker entry — one bad
         write never bricks the listing or a serve pass.
         """
-        if not self.jobs_dir.exists():
-            return []
-        docs = []
-        for path in sorted(self.jobs_dir.glob("j*.json")):
-            try:
-                docs.append(self.load(path.stem))
-            except ServiceError:
-                marker = self._quarantine_job(path)
-                if marker is not None:
-                    docs.append(marker)
-        return docs
+        docs = (self._read_listed(job_id) for job_id in self._job_ids())
+        return [doc for doc in docs if doc is not None]
 
     def pending(self) -> list[dict[str, Any]]:
-        return [doc for doc in self.list_jobs() if doc["state"] == "pending"]
+        return [doc for doc in self._live_docs() if doc["state"] == "pending"]
+
+    def _live_docs(self) -> list[dict[str, Any]]:
+        """The ``pending`` and ``running`` documents, in id order.
+
+        Parses only ids outside the terminal memo, so a poll costs one
+        directory listing plus O(non-terminal documents); corrupt
+        documents are quarantined as in :meth:`list_jobs` and left out.
+        """
+        docs = []
+        for job_id in self._job_ids():
+            if job_id in self._terminal:
+                continue
+            doc = self._read_listed(job_id)
+            if doc is not None and doc["state"] in _CLAIMABLE:
+                docs.append(doc)
+        return docs
+
+    def _job_ids(self) -> list[str]:
+        """Ids of the documents under ``jobs/``, sorted (submission order)."""
+        try:
+            with os.scandir(self.jobs_dir) as entries:
+                names = [
+                    entry.name for entry in entries
+                    if entry.name.startswith("j") and entry.name.endswith(".json")
+                ]
+        except FileNotFoundError:
+            return []
+        return [name[: -len(".json")] for name in sorted(names)]
+
+    def _read_listed(self, job_id: str) -> dict[str, Any] | None:
+        """Load a listed document, or quarantine it and return its marker
+        (``None`` when it vanished since the listing)."""
+        try:
+            doc = self.load(job_id)
+        except ServiceError:
+            return self._quarantine_job(self.job_path(job_id))
+        self._note_state(doc)
+        return doc
+
+    def _note_state(self, doc: dict[str, Any]) -> None:
+        """Remember a terminal job; its lease lock is no longer needed."""
+        if doc["state"] in _TERMINAL:
+            self._terminal.add(doc["id"])
+            self._lease_locks.pop(doc["id"], None)
 
     def _quarantine_job(self, path: Path) -> dict[str, Any] | None:
         """Move a corrupt document aside; a marker entry for the listing.

@@ -179,6 +179,47 @@ class TestRetryAndReclaim:
         assert _metric(metrics, "repro_serve_reclaimed_total") == 1
         assert _metric(metrics, "repro_serve_leases_total") == 1
 
+    def test_running_job_of_dead_owner_is_reclaimed_and_served(self, tmp_path):
+        """A job whose serve process died mid-run is served by a peer."""
+        store = tmp_path / "store"
+        metrics = tmp_path / "metrics.json"
+        job_id = _submit(store)
+        queue = JobQueue(store)
+        queue.update(job_id, state="running", owner="crashed-serve")
+        queue.leases_dir.mkdir(parents=True, exist_ok=True)
+        queue.lease_path(job_id).write_text(
+            json.dumps({
+                "format": LOCK_FORMAT,
+                "owner": "crashed-serve",
+                "host": socket.gethostname(),
+                "pid": _dead_pid(),
+                "heartbeat": 3,
+            }),
+            encoding="utf-8",
+        )
+        rc = serve_main([
+            "--store", str(store), "--once",
+            "--metrics-out", str(metrics),
+        ])
+        assert rc == 0
+        assert JobQueue(store).load(job_id)["state"] == "done"
+        assert _no_leases(store)
+        assert _metric(metrics, "repro_serve_reclaimed_total") == 1
+        assert _metric(metrics, "repro_serve_leases_total") == 1
+
+    def test_running_job_of_live_owner_is_left_alone(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        job_id = _submit(store)
+        other = JobQueue(store)  # "another serve process", alive
+        [(doc, lease)] = other.claim_pending()
+        other.update(job_id, state="running", owner=lease.owner)
+        rc = serve_main(["--store", str(store), "--once"])
+        assert rc == 0
+        assert "no pending jobs" in capsys.readouterr().out
+        assert JobQueue(store).load(job_id)["state"] == "running"
+        assert other.lease_path(job_id).exists()
+        lease.release()
+
 
 _SERVE_SCRIPT = """\
 import sys
