@@ -56,8 +56,16 @@ BENCH_SCHEMA_VERSION = 1
 _FORMAT = "repro-bench"
 
 
+def _usable_cpu_count() -> int | None:
+    """CPUs this process may run on (its affinity mask), not the host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform (macOS, Windows)
+        return os.cpu_count()
+
+
 def environment_fingerprint() -> dict[str, Any]:
-    """Where these numbers came from: interpreter, platform, key libs."""
+    """Where these numbers came from: interpreter, platform, usable CPUs, key libs."""
     import numpy
 
     return {
@@ -65,7 +73,7 @@ def environment_fingerprint() -> dict[str, Any]:
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": _usable_cpu_count(),
         "numpy": numpy.__version__,
         "repro": __version__,
     }

@@ -11,8 +11,9 @@ This module is the main user entry point of the core library::
     True
 
 It resolves algorithm names through the registry, picks a safe step cap,
-and delegates execution to the vectorized engine (or the pure-Python
-reference engine for verification runs).
+and delegates execution to the schedule's default backend (or any
+registered backend, e.g. the pure-Python ``"reference"`` oracle for
+verification runs).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro.backends import Backend, SortOutcome, get_backend, iter_run, run_sort, run_steps
 from repro.core.schedule import Schedule
-from repro.errors import DimensionError
 from repro.obs.events import Observer
 
 __all__ = ["sort_grid", "sort_steps", "SortReport", "describe_algorithm", "resolve_algorithm"]
@@ -81,16 +81,11 @@ def resolve_algorithm(
 _resolve = resolve_algorithm
 
 
-# Historical ``engine=`` spellings and their backend-registry names.
-_ENGINE_TO_BACKEND = {"numpy": "vectorized", "reference": "reference"}
-
-
 def sort_grid(
     algorithm: str | Schedule,
     grid: np.ndarray,
     *,
     max_steps: int | None = None,
-    engine: str = "numpy",
     raise_on_cap: bool = False,
     observer: Observer | None = None,
     backend: str | Backend | None = None,
@@ -105,10 +100,6 @@ def sort_grid(
         ``(side, side)`` or ``(..., side, side)`` array; left unmodified.
     max_steps:
         Step cap; defaults to :func:`repro.backends.step_cap`.
-    engine:
-        Historical executor selector: ``"numpy"`` (vectorized,
-        batch-capable) or ``"reference"`` (pure-Python oracle; single grid
-        only, always raises on cap).  Ignored when ``backend`` is given.
     raise_on_cap:
         Raise :class:`~repro.errors.StepLimitExceeded` instead of reporting
         ``steps == -1`` entries.
@@ -118,26 +109,14 @@ def sort_grid(
         :func:`repro.obs.use_observer` apply without this argument).
     backend:
         Backend-registry name (see :func:`repro.backends.available_backends`)
-        or instance; wins over ``engine`` when provided.
+        or instance; defaults to the schedule's
+        :func:`repro.schedules.execution_backend`.
     """
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
     if backend is None:
-        try:
-            backend = _ENGINE_TO_BACKEND[engine]
-        except KeyError:
-            raise DimensionError(
-                f"unknown engine {engine!r}; use 'numpy' or 'reference' "
-                "(or pass backend=)"
-            ) from None
-        if engine == "reference":
-            # The oracle path has always treated a capped run as an error.
-            raise_on_cap = True
-        elif engine == "numpy":
-            # Linear-topology schedules need the rect kernels; square
-            # schedules keep the historical vectorized default.
-            from repro.schedules import execution_backend
+        from repro.schedules import execution_backend
 
-            backend = execution_backend(schedule)
+        backend = execution_backend(schedule)
     outcome = run_sort(
         get_backend(backend),
         schedule,

@@ -1,8 +1,9 @@
 """Shared configuration for experiment runs.
 
-Two scales are provided: ``quick`` (seconds per experiment; used by the
-benchmark harness and CI) and ``full`` (minutes; used to produce the
-numbers recorded in EXPERIMENTS.md).  All randomness derives from ``seed``.
+Two scales are provided: ``quick`` (seconds per experiment; the tier-1
+tests check every experiment's claim at it, and ``results/SUMMARY.md``
+records it) and ``full`` (minutes; used to produce ``results/full/`` and
+the numbers recorded in EXPERIMENTS.md).  All randomness derives from ``seed``.
 """
 
 from __future__ import annotations

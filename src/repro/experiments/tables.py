@@ -1,8 +1,10 @@
 """Result tables: fixed-width text rendering and CSV export.
 
 Every experiment in :mod:`repro.experiments.registry` returns a
-:class:`Table`; the benchmark harness prints them and EXPERIMENTS.md records
-them.  Cells may be any value; formatting is centralized here.
+:class:`Table`; ``repro run`` prints them (or writes CSV and markdown
+summaries), each experiment's claim is a predicate over its table, and
+EXPERIMENTS.md records them.  Cells may be any value; formatting is
+centralized here.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -73,6 +74,10 @@ class TestRunner:
     def test_env_fingerprint_fields(self):
         env = environment_fingerprint()
         assert {"python", "platform", "machine", "numpy", "repro"} <= env.keys()
+
+    def test_env_fingerprint_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert environment_fingerprint()["cpu_count"] == 1
 
     def test_repeats_override_and_validation(self):
         report = run_cases([tiny_case()], suite="smoke", repeats=4)
